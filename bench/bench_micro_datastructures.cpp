@@ -196,6 +196,45 @@ void BM_SubscriptionMatchIntoReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_SubscriptionMatchIntoReuse)->Arg(400)->Arg(4000);
 
+// Range-tier guard: 2000 two-sided `px` bands (the shape of a price-filter
+// population, none with an equality conjunct) plus one match-all. The
+// interval tree should hold evaluations to the bands containing the value
+// plus the match-all, and a reused scratch vector should see no allocation.
+void BM_SubscriptionMatchRanges(benchmark::State& state) {
+  matching::SubscriptionIndex index;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    const std::uint32_t lo = i * 5;
+    index.add(SubscriberId{i}, matching::parse_predicate(
+                                   "px >= " + std::to_string(lo) + " && px < " +
+                                   std::to_string(lo + 2 + i % 9)));
+  }
+  index.add(SubscriberId{2000}, matching::parse_predicate("true"));
+  std::vector<matching::EventDataPtr> events;
+  for (std::int64_t k = 0; k < 64; ++k) {
+    events.push_back(std::make_shared<matching::EventData>(
+        std::map<std::string, matching::Value>{{"px", matching::Value(k * 157 % 10000)}},
+        "", 250));
+  }
+  std::vector<SubscriberId> scratch;
+  for (const auto& e : events) index.match_into(*e, scratch);  // warm the scratch
+  const std::uint64_t evals0 = index.candidates_evaluated();
+  const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    index.match_into(*events[next], scratch);
+    next = (next + 1) % events.size();
+    benchmark::DoNotOptimize(scratch.data());
+  }
+  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+  state.counters["candidates_per_op"] =
+      benchmark::Counter(static_cast<double>(index.candidates_evaluated() - evals0),
+                         benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SubscriptionMatchRanges);
+
 void BM_PredicateParse(benchmark::State& state) {
   const std::string text =
       "(symbol == 'IBM' && price > 100.5) || (side = 'SELL' and quantity >= "

@@ -127,9 +127,10 @@ struct ZipfSampler {
 /// members — one representative evaluation covers them all), plus a
 /// recurring family of range selectors. Range templates take k ≡ 7 (mod 8)
 /// and the modulus 100 shares a factor 4 with that stride, so there are at
-/// most 25 distinct range selectors regardless of population — scan-list
-/// groups, the only per-event cost that is linear in group count, stay
-/// bounded at every size tier.
+/// most 25 distinct range selectors regardless of population. They sit in
+/// the index's range tier, where an event evaluates only the groups whose
+/// interval holds its value; the cap keeps this bench's population shape,
+/// and so its committed numbers, stable.
 std::string template_predicate(std::size_t k) {
   switch (k % 8) {
     case 5:

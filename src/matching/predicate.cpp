@@ -204,6 +204,11 @@ bool compare_covers(const Predicate::CompareView& p, const Predicate::CompareVie
   // in different directions or different domains never contain each other.
   if (!p.value->orderable_with(*q.value)) return false;
   if (lower_bound_op(p.op) != lower_bound_op(q.op)) return false;
+  // A NaN event value satisfies `<=`/`>=` (the negated strict test) but
+  // never `<`/`>`, so on numbers a strict bound cannot cover a closed one.
+  const bool p_strict = p.op == CompareOp::kLt || p.op == CompareOp::kGt;
+  const bool q_strict = q.op == CompareOp::kLt || q.op == CompareOp::kGt;
+  if (p.value->is_numeric() && p_strict && !q_strict) return false;
   if (lower_bound_op(p.op)) {
     if (p.value->less_than(*q.value)) return true;
     if (*p.value == *q.value) {

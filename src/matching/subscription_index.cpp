@@ -1,10 +1,43 @@
 #include "matching/subscription_index.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/assert.hpp"
 
 namespace gryphon::matching {
+
+namespace {
+
+/// Narrows `iv` by every ordered comparison against a numeric constant in
+/// `p` or its (nested) conjuncts that bounds `*attr`; the first such
+/// comparison picks `*attr` when it is still null. The result is a
+/// necessary condition of `p` for non-NaN event values: a conjunction
+/// matches only where each of its conjuncts does.
+void narrow_range(const Predicate& p, const std::string*& attr, Interval& iv) {
+  if (const auto* terms = p.and_terms()) {
+    for (const auto& t : *terms) narrow_range(*t, attr, iv);
+    return;
+  }
+  Predicate::CompareView c;
+  if (!p.compare_view(c) || !c.value->is_numeric()) return;
+  if (attr != nullptr && *c.attribute != *attr) return;
+  const double v = c.value->as_double();
+  // `x <= NaN` holds for every numeric x and `x < NaN` for none: a NaN
+  // constant gives no usable bound, so it stays out of the interval.
+  if (std::isnan(v)) return;
+  switch (c.op) {
+    case CompareOp::kLt: iv.lower_hi(v, /*open=*/true); break;
+    case CompareOp::kLe: iv.lower_hi(v, /*open=*/false); break;
+    case CompareOp::kGt: iv.raise_lo(v, /*open=*/true); break;
+    case CompareOp::kGe: iv.raise_lo(v, /*open=*/false); break;
+    case CompareOp::kEq:
+    case CompareOp::kNe: return;
+  }
+  attr = c.attribute;
+}
+
+}  // namespace
 
 void SubscriptionIndex::add(SubscriberId id, PredicatePtr predicate) {
   GRYPHON_CHECK(predicate != nullptr);
@@ -90,10 +123,38 @@ void SubscriptionIndex::insert_member(SubscriberId id, PredicatePtr predicate) {
     buckets_[g->bucket].push_back(g);
   } else {
     scan_groups_.push_back(g);
+    place_scan(g);
   }
   by_canon_.emplace(g->canon, g);
   groups_.emplace(g, std::move(owned));
   all_.emplace(id, MemberInfo{std::move(predicate), g, true});
+}
+
+void SubscriptionIndex::place_scan(Group* group) {
+  const std::string* attr = nullptr;
+  Interval iv;
+  narrow_range(*group->rep, attr, iv);
+  if (attr == nullptr) {
+    plain_scan_.push_back(group);
+    return;
+  }
+  auto& entry = *ranges_.try_emplace(*attr).first;
+  group->range = &entry;
+  group->interval = iv;
+  group->range_key = next_range_key_++;
+  entry.second.insert(iv, group->range_key, group);
+}
+
+void SubscriptionIndex::unplace_scan(Group* group) {
+  if (group->range == nullptr) {
+    plain_scan_.erase(std::remove(plain_scan_.begin(), plain_scan_.end(), group),
+                      plain_scan_.end());
+    return;
+  }
+  auto& tree = group->range->second;
+  tree.erase(group->interval, group->range_key);
+  if (tree.empty()) ranges_.erase(ranges_.find(group->range->first));
+  group->range = nullptr;
 }
 
 void SubscriptionIndex::destroy_group(Group* group) {
@@ -112,6 +173,7 @@ void SubscriptionIndex::destroy_group(Group* group) {
   } else {
     scan_groups_.erase(std::remove(scan_groups_.begin(), scan_groups_.end(), group),
                        scan_groups_.end());
+    unplace_scan(group);
   }
   if (auto it = by_canon_.find(group->canon);
       it != by_canon_.end() && it->second == group) {
@@ -140,6 +202,11 @@ void SubscriptionIndex::promote(Group* group) {
   // so the promoted rep cannot move the group between buckets.
   Predicate::EqualityKey eq;
   GRYPHON_CHECK(group->rep->equality_key(eq) == group->bucketed);
+  // A scan group's interval can move, though: re-file it under the new rep.
+  if (!group->bucketed) {
+    unplace_scan(group);
+    place_scan(group);
+  }
 
   // Reclassify the remaining checked sets against the new, narrower
   // representative; any set it no longer covers re-enters through the
@@ -248,10 +315,24 @@ void SubscriptionIndex::eval_group(const Group* g, const EventData& event,
   }
 }
 
+template <typename F>
+bool SubscriptionIndex::visit_ranges(const EventData& event, F&& f) const {
+  for (const auto& [attr, tree] : ranges_) {
+    const Value* v = event.attribute(attr);
+    // Every ordered comparison with a numeric constant is false on a
+    // missing or non-numeric value.
+    if (v == nullptr || !v->is_numeric()) continue;
+    const double x = v->as_double();
+    // `NaN <= c` and `NaN >= c` hold, so a NaN value evaluates the whole tier.
+    if (std::isnan(x) ? tree.for_each(f) : tree.stab(x, f)) return true;
+  }
+  return false;
+}
+
 void SubscriptionIndex::match_into(const EventData& event,
                                    std::vector<SubscriberId>& out) const {
   out.clear();
-  // Size the candidate set (scan groups + every hit bucket), then evaluate:
+  // Size the candidate set (plain scan groups + every hit bucket), then evaluate:
   // the output is reserved once, with no allocation beyond the result
   // itself — and none at all when the caller reuses a scratch vector.
   const auto members_of = [](const Group* g) {
@@ -260,7 +341,7 @@ void SubscriptionIndex::match_into(const EventData& event,
     return n;
   };
   std::size_t candidates = 0;
-  for (const Group* g : scan_groups_) {
+  for (const Group* g : plain_scan_) {
     candidates += members_of(g);
   }
   // A bucketed group can only match events carrying its equality attribute
@@ -285,9 +366,15 @@ void SubscriptionIndex::match_into(const EventData& event,
 
   std::size_t contributing = 0;
   bool unsorted = false;
-  for (const Group* g : scan_groups_) {
+  for (const Group* g : plain_scan_) {
     eval_group(g, event, out, contributing, unsorted);
   }
+  // Range hits are not in the reservation (sizing them would mean a second
+  // stab); a reused scratch vector already has the capacity.
+  visit_ranges(event, [&](const Group* g) {
+    eval_group(g, event, out, contributing, unsorted);
+    return false;
+  });
   if (!overflowed) {
     for (std::size_t i = 0; i < num_hits; ++i) {
       for (const Group* g : *hits[i]) eval_group(g, event, out, contributing, unsorted);
@@ -315,16 +402,19 @@ bool SubscriptionIndex::matches_any(const EventData& event) const {
   // Only representatives are evaluated: every group keeps an exact member,
   // so a rep hit is a live subscription matching, and a rep miss rules out
   // the whole group.
-  for (const Group* g : scan_groups_) {
+  const auto rep_hit = [&](const Group* g) {
     ++evals_;
-    if (g->rep->matches(event)) return true;
+    return g->rep->matches(event);
+  };
+  for (const Group* g : plain_scan_) {
+    if (rep_hit(g)) return true;
   }
+  if (visit_ranges(event, rep_hit)) return true;
   for (const auto& [attr, value] : event.attributes()) {
     auto b = buckets_.find(BucketRef{attr, value});
     if (b == buckets_.end()) continue;
     for (const Group* g : b->second) {
-      ++evals_;
-      if (g->rep->matches(event)) return true;
+      if (rep_hit(g)) return true;
     }
   }
   return false;

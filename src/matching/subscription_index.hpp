@@ -28,6 +28,14 @@
 // predicates this collapses match cost from O(subscriptions) to
 // O(covering groups).
 //
+// Scan-list representatives that bound one numeric attribute with ordered
+// comparisons (`px >= 120 && px < 128`) form the *range* tier: one
+// IntervalTree per attribute, so an event evaluates only the groups whose
+// interval holds its value (O(log n + k)) instead of every scan group. The
+// tier is a pure pre-filter — the interval is a necessary condition of the
+// representative, which is still evaluated — and changes neither the
+// covering groups nor match output.
+//
 // The bucket table is keyed by the (attribute, value) pair directly and
 // probed with a borrowed-reference key type (C++20 heterogeneous lookup),
 // so match()/matches_any() never materialize a key: probing is hash +
@@ -35,11 +43,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "matching/interval_tree.hpp"
 #include "matching/predicate.hpp"
 #include "util/ids.hpp"
 
@@ -124,6 +135,9 @@ class SubscriptionIndex {
     std::vector<SubscriberId> ids;
   };
 
+  struct Group;
+  using RangeMap = std::map<std::string, IntervalTree<const Group*>, std::less<>>;
+
   /// One covering group. Invariant outside remove(): exact is non-empty,
   /// and every member's predicate is covered by rep (exact members
   /// mutually). Bucketed groups and all their members share the group's
@@ -139,6 +153,11 @@ class SubscriptionIndex {
     std::vector<CheckedSet> checked;
     bool bucketed = false;
     BucketKey bucket;  // key in buckets_ when bucketed
+    /// Range-tier placement of a scan group: its attribute's tree (nullptr =
+    /// plain scan list), its rep's interval there, and its unique tree key.
+    RangeMap::value_type* range = nullptr;
+    Interval interval;
+    std::uint64_t range_key = 0;
   };
 
   struct MemberInfo {
@@ -157,6 +176,14 @@ class SubscriptionIndex {
   /// exact member left. Members no longer covered are re-inserted.
   void promote(Group* group);
   void join_exact(Group* group, SubscriberId id);
+  /// Files a scan group under its rep's range-tier interval, or in the plain
+  /// scan list when the rep bounds no numeric attribute.
+  void place_scan(Group* group);
+  void unplace_scan(Group* group);
+  /// Calls f(group) for every range-tier group that `event` might match,
+  /// until f returns true; returns whether one did.
+  template <typename F>
+  bool visit_ranges(const EventData& event, F&& f) const;
   static CheckedSet* find_checked(Group* group, const std::string& canon);
   void eval_group(const Group* group, const EventData& event,
                   std::vector<SubscriberId>& out, std::size_t& contributing,
@@ -164,7 +191,13 @@ class SubscriptionIndex {
 
   std::unordered_map<SubscriberId, MemberInfo> all_;
   std::unordered_map<BucketKey, std::vector<Group*>, KeyHash, KeyEq> buckets_;
-  std::vector<Group*> scan_groups_;  // reps without a usable equality conjunct
+  /// Reps without a usable equality conjunct, in insertion order (the
+  /// covering probe's home list). Each also sits in exactly one of
+  /// plain_scan_ and ranges_, which is where match() finds it.
+  std::vector<Group*> scan_groups_;
+  std::vector<Group*> plain_scan_;
+  RangeMap ranges_;
+  std::uint64_t next_range_key_ = 0;
   /// Canonical text -> owning group, for representative AND checked-set
   /// canons: the O(1) join path that absorbs duplicate populations.
   std::unordered_map<std::string, Group*> by_canon_;

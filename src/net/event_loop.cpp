@@ -53,8 +53,17 @@ void EventLoop::fire_due_timers() {
   timers_.run_until(t);
 }
 
+void EventLoop::run_deferred() {
+  while (!deferred_.empty()) {
+    running_.swap(deferred_);
+    for (Task& fn : running_) fn();
+    running_.clear();
+  }
+}
+
 void EventLoop::tick(SimDuration max_wait) {
   fire_due_timers();
+  run_deferred();
 
   // Poll timeout: up to the next timer, rounded *up* so a due-in-200us
   // timer doesn't busy-spin at timeout 0 forever.
@@ -77,11 +86,12 @@ void EventLoop::tick(SimDuration max_wait) {
   const int n = ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
   ++polls_;
   fire_due_timers();
-  if (n <= 0) return;  // timeout or EINTR: timers already handled
 
   // Dispatch on a snapshot; a callback may mutate the watcher table, so
   // each entry is revalidated by (fd, generation) before its callback runs.
+  // n <= 0 is a timeout or EINTR: timers are already handled.
   for (const pollfd& p : pollfds_) {
+    if (n <= 0) break;
     if (p.revents == 0) continue;
     auto it = watchers_.find(p.fd);
     if (it == watchers_.end()) continue;  // unwatched by an earlier callback
@@ -94,6 +104,7 @@ void EventLoop::tick(SimDuration max_wait) {
     IoCallback cb = it->second.cb;
     cb(events);
   }
+  run_deferred();
 }
 
 void EventLoop::run() {
@@ -110,6 +121,7 @@ void EventLoop::run_for(SimDuration duration) {
     tick(std::min<SimDuration>(left, msec(500)));
   }
   fire_due_timers();
+  run_deferred();
 }
 
 }  // namespace gryphon::net

@@ -10,8 +10,11 @@
 // same thing under the simulator and under this loop.
 //
 // Each iteration: advance now_ to the wall clock, fire every timer that is
-// due, then poll() with a timeout reaching exactly to the next timer (or a
-// bounded idle wait), then dispatch io callbacks. Timer tasks scheduled for
+// due, run the deferred tasks, then poll() with a timeout reaching exactly
+// to the next timer (or a bounded idle wait), then dispatch io callbacks and
+// run the deferred tasks again before returning. Connections defer their
+// socket writes this way, so every frame a connection queues within one
+// iteration leaves in one send(2). Timer tasks scheduled for
 // a past instant run on the next iteration — the loop never sleeps past a
 // due timer, but real time may overshoot one; schedule_at clamps to now
 // rather than asserting, because wall time, unlike sim time, moves on its
@@ -63,6 +66,11 @@ class EventLoop final : public sim::Scheduler {
   /// own callback. Unknown fds are a no-op.
   void unwatch_fd(int fd);
 
+  /// Runs `fn` once later in this iteration: after the current callback or
+  /// timer batch, before the loop next polls, and before tick() returns.
+  /// A deferred task may defer more; they run in the same pass.
+  void defer(Task fn) { deferred_.push_back(std::move(fn)); }
+
   // --- driving ---
   /// Runs until stop(). Idle iterations block in poll() up to the next
   /// timer (or 500ms when no timer is pending).
@@ -91,6 +99,9 @@ class EventLoop final : public sim::Scheduler {
   /// Advances now_/timer time to the wall clock and fires due timers.
   void fire_due_timers();
 
+  /// Runs deferred tasks until none is left.
+  void run_deferred();
+
   struct Watcher {
     bool want_read = false;
     bool want_write = false;
@@ -105,6 +116,8 @@ class EventLoop final : public sim::Scheduler {
   std::uint64_t polls_ = 0;
   bool stopped_ = false;
   std::vector<::pollfd> pollfds_;  // reused across iterations
+  std::vector<Task> deferred_;
+  std::vector<Task> running_;  // the batch run_deferred() is draining
 };
 
 }  // namespace gryphon::net

@@ -123,12 +123,7 @@ Connection::Connection(EventLoop& loop, int fd, std::string label, bool connecti
   GRYPHON_CHECK(fd_ >= 0);
 }
 
-Connection::~Connection() {
-  if (fd_ >= 0) {
-    loop_.unwatch_fd(fd_);
-    ::close(fd_);
-  }
-}
+Connection::~Connection() { close(); }
 
 void Connection::start() {
   GRYPHON_CHECK(on_close_ != nullptr);
@@ -150,15 +145,30 @@ void Connection::send_bytes(std::span<const std::byte> bytes) {
     out_head_ = 0;
   }
   outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
-  if (!connecting_) flush();
-  update_interest();
+  // One send(2) per loop iteration, however many frames this iteration
+  // queues; a connecting socket flushes when the connect completes.
+  if (connecting_ || flush_deferred_) return;
+  flush_deferred_ = true;
+  loop_.defer([this, weak = std::weak_ptr<const char>(alive_)] {
+    const std::shared_ptr<const char> guard = weak.lock();
+    if (guard == nullptr) return;  // destroyed with the flush pending
+    flush_deferred_ = false;
+    if (fd_ < 0) return;
+    flush();
+    if (guard.use_count() == 1 || fd_ < 0) return;
+    update_interest();
+  });
 }
 
-void Connection::close() {
-  if (fd_ < 0) return;
+bool Connection::close() {
+  if (fd_ < 0) return true;
+  // Last nonblocking flush: what the kernel takes still reaches the peer.
+  if (!connecting_) write_out();
+  const bool flushed = outbox_bytes() == 0;
   loop_.unwatch_fd(fd_);
   ::close(fd_);
   fd_ = -1;
+  return flushed;
 }
 
 void Connection::fail(const std::string& reason) {
@@ -180,7 +190,7 @@ void Connection::update_interest() {
                   /*want_write=*/connecting_ || outbox_bytes() > 0);
 }
 
-void Connection::flush() {
+bool Connection::write_out() {
   while (outbox_bytes() > 0) {
     const ssize_t n = ::send(fd_, outbox_.data() + out_head_, outbox_bytes(),
                              MSG_NOSIGNAL);
@@ -189,14 +199,16 @@ void Connection::flush() {
       bytes_out_ += static_cast<std::uint64_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    fail(std::string("send: ") + ::strerror(errno));
-    return;
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
-  if (out_head_ > 0 && out_head_ == outbox_.size()) {
-    outbox_.clear();
-    out_head_ = 0;
-  }
+  outbox_.clear();
+  out_head_ = 0;
+  return true;
+}
+
+void Connection::flush() {
+  if (!write_out()) fail(std::string("send: ") + ::strerror(errno));
 }
 
 void Connection::on_events(std::uint32_t events) {
@@ -234,7 +246,8 @@ void Connection::on_events(std::uint32_t events) {
 
 void Connection::handle_readable(const std::shared_ptr<const char>& guard) {
   std::byte buf[65536];
-  while (fd_ >= 0) {
+  bool drained = false;
+  while (fd_ >= 0 && !drained) {
     const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
     if (n == 0) {
       const bool torn = reassembler_.buffered() > 0;
@@ -247,6 +260,9 @@ void Connection::handle_readable(const std::shared_ptr<const char>& guard) {
       return;
     }
     bytes_in_ += static_cast<std::uint64_t>(n);
+    // A short read drained the socket: stop here rather than spend one more
+    // recv(2) on EAGAIN (poll reports anything that arrives meanwhile).
+    drained = static_cast<std::size_t>(n) < sizeof buf;
     std::span<const std::byte> chunk(buf, static_cast<std::size_t>(n));
     if (line_mode_) {
       // One preamble line, then frames forever.

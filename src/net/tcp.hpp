@@ -4,15 +4,18 @@
 //    sockets nonblocking and TCP_NODELAY (frames are latency-sensitive
 //    control traffic; batching is the codec arena's job, not Nagle's).
 //  * TcpListener: accept loop on the event loop.
-//  * Connection: one peer socket. Outbound bytes are buffered and flushed
-//    on writability; inbound bytes pass through a one-line text preamble
+//  * Connection: one peer socket. Outbound bytes are buffered and written
+//    once per event-loop iteration (EventLoop::defer), then on writability
+//    while the kernel pushes back; inbound bytes pass through a one-line
+//    text preamble
 //    (the process handshake: HELLO from the dialer, READY from the
 //    acceptor) and then a FrameReassembler, so the owner receives whole
 //    validated frames regardless of TCP boundaries.
 //
 // Reentrancy: handlers may close/destroy the connection they were invoked
 // from; Connection guards itself with an alive token and returns
-// immediately if a handler tore it down.
+// immediately if a handler tore it down. The deferred flush holds the token
+// weakly, so a Connection destroyed with a flush pending is never touched.
 #pragma once
 
 #include <cstdint>
@@ -89,11 +92,14 @@ class Connection {
   /// Queues one preamble line (newline appended) ahead of any frames.
   void send_line(const std::string& line);
 
-  /// Queues frame bytes for transmission.
+  /// Queues frame bytes for transmission. They are written before the loop
+  /// next polls, together with everything else queued in this iteration.
   void send_bytes(std::span<const std::byte> bytes);
 
-  /// Closes immediately; on_close is NOT invoked (owner-initiated).
-  void close();
+  /// Closes after one last nonblocking flush of queued bytes; on_close is
+  /// NOT invoked (owner-initiated). Returns false when some queued bytes
+  /// could not be handed to the kernel. The destructor closes the same way.
+  bool close();
 
   /// Tears the socket down and reports `reason` to on_close (for protocol
   /// violations detected by the owner, e.g. a bad handshake line).
@@ -112,6 +118,10 @@ class Connection {
  private:
   void on_events(std::uint32_t events);
   void handle_readable(const std::shared_ptr<const char>& guard);
+  /// Sends queued bytes until the outbox is empty or the socket would
+  /// block; false on a socket error (errno set).
+  bool write_out();
+  /// write_out(), failing the connection on a socket error.
   void flush();
   void update_interest();
 
@@ -128,6 +138,7 @@ class Connection {
   ConnectHandler on_connected_;
   std::vector<std::byte> outbox_;
   std::size_t out_head_ = 0;
+  bool flush_deferred_ = false;  // a flush is queued on the loop
   std::uint64_t bytes_in_ = 0;
   std::uint64_t bytes_out_ = 0;
   std::shared_ptr<const char> alive_;  // dropped by the destructor

@@ -1,7 +1,12 @@
 #include "storage/storage_backend.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "util/assert.hpp"
@@ -59,30 +64,49 @@ FileBackend::FileBackend(std::string dir, std::string prefix)
   std::filesystem::create_directories(dir_);
 }
 
+FileBackend::~FileBackend() { close_fd(); }
+
 std::string FileBackend::path(std::uint64_t seq) const {
   return dir_ + "/" + prefix_ + "-" + std::to_string(seq) + ".wal";
 }
 
+void FileBackend::open_fd(std::uint64_t seq, int extra_flags) {
+  close_fd();
+  fd_ = ::open(path(seq).c_str(), O_WRONLY | O_APPEND | O_CLOEXEC | extra_flags, 0644);
+  GRYPHON_CHECK_MSG(fd_ >= 0, "cannot open " << path(seq) << ": " << std::strerror(errno));
+  fd_seq_ = seq;
+}
+
+void FileBackend::close_fd() {
+  if (fd_ < 0) return;
+  ::close(fd_);
+  fd_ = -1;
+}
+
 void FileBackend::create_segment(std::uint64_t seq) {
-  std::FILE* f = std::fopen(path(seq).c_str(), "wb");
-  GRYPHON_CHECK_MSG(f != nullptr, "cannot create " << path(seq));
-  std::fclose(f);
+  // The new segment is the one appends go to next: its fd replaces the
+  // previous segment's (a roll).
+  open_fd(seq, O_CREAT | O_TRUNC);
 }
 
 void FileBackend::append(std::uint64_t seq, std::span<const std::byte> bytes) {
   if (bytes.empty()) return;
-  std::FILE* f = std::fopen(path(seq).c_str(), "ab");
-  GRYPHON_CHECK_MSG(f != nullptr, "cannot append to " << path(seq));
-  const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  GRYPHON_CHECK_MSG(n == bytes.size(), "short write to " << path(seq));
+  if (fd_ < 0 || fd_seq_ != seq) open_fd(seq, 0);
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    GRYPHON_CHECK_MSG(n > 0, "write to " << path(seq) << ": " << std::strerror(errno));
+    bytes = bytes.subspan(static_cast<std::size_t>(n));
+  }
 }
 
 void FileBackend::truncate(std::uint64_t seq, std::size_t new_size) {
+  // An open O_APPEND fd keeps working: its next write lands at the new end.
   std::filesystem::resize_file(path(seq), new_size);
 }
 
 void FileBackend::drop_segment(std::uint64_t seq) {
+  if (fd_seq_ == seq) close_fd();
   GRYPHON_CHECK_MSG(std::filesystem::remove(path(seq)),
                     "drop of unknown segment file " << path(seq));
 }

@@ -8,7 +8,10 @@
 //    tests stay hermetic and deterministic, no filesystem involved.
 //  * FileBackend (behind StorageOptions::file_dir): segments are real
 //    "<prefix>-<seq>.wal" files, so a recovery scan genuinely round-trips
-//    through the OS. Used by bench_recovery_fuzz --wal-dir.
+//    through the OS. Used by bench_recovery_fuzz --wal-dir and the broker
+//    runtime. Appends go through one O_APPEND fd kept open on the segment
+//    being written (one write(2) per record, no open/close); it is closed on
+//    roll, drop and destruction. Nothing is fdatasync'd.
 #pragma once
 
 #include <cstddef>
@@ -67,6 +70,9 @@ class FileBackend final : public StorageBackend {
   /// Segments live at `<dir>/<prefix>-<seq>.wal`; `dir` is created if
   /// missing. Pre-existing files for `prefix` are adopted (recovery).
   FileBackend(std::string dir, std::string prefix);
+  ~FileBackend() override;
+  FileBackend(const FileBackend&) = delete;
+  FileBackend& operator=(const FileBackend&) = delete;
 
   void create_segment(std::uint64_t seq) override;
   void append(std::uint64_t seq, std::span<const std::byte> bytes) override;
@@ -78,9 +84,14 @@ class FileBackend final : public StorageBackend {
 
  private:
   [[nodiscard]] std::string path(std::uint64_t seq) const;
+  /// Makes `seq` the segment with the open append fd.
+  void open_fd(std::uint64_t seq, int extra_flags);
+  void close_fd();
 
   std::string dir_;
   std::string prefix_;
+  int fd_ = -1;  // O_APPEND fd of segment fd_seq_, or -1
+  std::uint64_t fd_seq_ = 0;
 };
 
 /// Builds the backend `options` asks for; `prefix` namespaces one WAL's

@@ -1,6 +1,10 @@
 // Unit tests: values, predicates, the selector parser, subscription index.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+
 #include "matching/event.hpp"
 #include "matching/parser.hpp"
 #include "matching/predicate.hpp"
@@ -281,6 +285,162 @@ TEST(SubscriptionIndex, CoveringIndexAgreesUnderChurn) {
   }
   EXPECT_LE(dense.group_count(), 8u);
   EXPECT_EQ(dense.size(), 400u);
+}
+
+// Range-tier property test (DESIGN.md §4.8): scan groups whose
+// representative bounds one numeric attribute live in a per-attribute
+// interval tree, and the tree is only a pre-filter — under seeded churn of
+// one- and two-sided, inclusive and exclusive ranges (int and double
+// constants, ±inf, NaN), match()/match_into()/matches_any() must agree with
+// the naive every-predicate scan on numeric, NaN, string, bool and missing
+// event values, including the exact-bound int-vs-double cases.
+TEST(SubscriptionIndex, RangeTierAgreesUnderChurn) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(20261017);
+  const std::vector<Value> constants = {Value(0), Value(2),   Value(5),    Value(7),
+                                        Value(10), Value(2.5), Value(5.0), Value(-inf),
+                                        Value(inf), Value(nan)};
+  const std::vector<CompareOp> ordered = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                                          CompareOp::kGe};
+  auto bound = [&](const std::string& attr) {
+    return compare(attr, ordered[rng.next_below(ordered.size())],
+                   constants[rng.next_below(constants.size())]);
+  };
+  auto random_predicate = [&]() -> PredicatePtr {
+    switch (rng.next_below(8)) {
+      case 0:
+      case 1: return bound("x");  // one-sided
+      case 2:
+      case 3: return p_and({bound("x"), bound("x")});  // two-sided
+      case 4: return p_and({bound("x"), bound("y")});  // tier picks x
+      case 5: return p_and({exists("x"), p_and({bound("y"), bound("y")})});
+      case 6: return compare("x", CompareOp::kLt, Value("m"));  // string: plain scan
+      default: return p_or({bound("x"), bound("y")});           // plain scan
+    }
+  };
+  const std::vector<Value> event_values = {Value(0),    Value(2),    Value(5),
+                                           Value(7),    Value(10),   Value(2.5),
+                                           Value(5.0),  Value(4.999), Value(-inf),
+                                           Value(inf),  Value(nan),  Value("a"),
+                                           Value(true), Value(11)};
+  auto random_event = [&] {
+    std::map<std::string, Value> attrs;
+    for (const char* attr : {"x", "y"}) {
+      const std::uint64_t pick = rng.next_below(event_values.size() + 1);
+      if (pick < event_values.size()) attrs.emplace(attr, event_values[pick]);  // else missing
+    }
+    return make_event(std::move(attrs));
+  };
+
+  SubscriptionIndex index;
+  std::vector<std::pair<SubscriberId, PredicatePtr>> naive;
+  std::uint32_t next_id = 1;
+  std::vector<SubscriberId> scratch;
+  for (int round = 0; round < 60; ++round) {
+    const std::uint64_t adds = 1 + rng.next_below(10);
+    for (std::uint64_t a = 0; a < adds; ++a) {
+      const SubscriberId id{next_id++};
+      auto p = random_predicate();
+      index.add(id, p);
+      naive.emplace_back(id, std::move(p));
+    }
+    // Oldest-biased removals hit representatives and force promotions that
+    // re-file a group under its new representative's interval.
+    const std::uint64_t removes = rng.next_below(std::min<std::uint64_t>(6, naive.size()));
+    for (std::uint64_t r = 0; r < removes; ++r) {
+      const std::size_t pick =
+          rng.next_bool(0.7) ? rng.next_below(std::max<std::size_t>(1, naive.size() / 3))
+                             : rng.next_below(naive.size());
+      index.remove(naive[pick].first);
+      naive.erase(naive.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    ASSERT_EQ(index.size(), naive.size());
+    for (int trial = 0; trial < 20; ++trial) {
+      const EventData e = random_event();
+      std::vector<SubscriberId> expected;
+      for (const auto& [id, p] : naive) {
+        if (p->matches(e)) expected.push_back(id);
+      }
+      std::sort(expected.begin(), expected.end());
+      std::string shown;
+      for (const auto& [attr, value] : e.attributes()) {
+        shown += " " + attr + "=" + (std::ostringstream() << value).str();
+      }
+      index.match_into(e, scratch);
+      ASSERT_EQ(scratch, expected) << "round " << round << " event" << shown;
+      ASSERT_EQ(index.match(e), expected);
+      ASSERT_EQ(index.matches_any(e), !expected.empty());
+    }
+  }
+}
+
+// `NaN >= 7` holds (it is `!(NaN < 7)`) but `NaN > 5` does not, so a
+// strict numeric bound must not claim to cover a closed one.
+TEST(Predicate, StrictBoundDoesNotCoverClosedBound) {
+  const auto nan_event =
+      make_event({{"x", Value(std::numeric_limits<double>::quiet_NaN())}});
+  const auto strict = parse_predicate("x > 5");
+  const auto closed = parse_predicate("x >= 7");
+  ASSERT_TRUE(closed->matches(nan_event));
+  ASSERT_FALSE(strict->matches(nan_event));
+  EXPECT_FALSE(strict->covers(*closed));
+  EXPECT_TRUE(parse_predicate("x >= 5")->covers(*closed));
+  EXPECT_TRUE(strict->covers(*parse_predicate("x > 7")));
+  EXPECT_TRUE(parse_predicate("s > 'a'")->covers(*parse_predicate("s >= 'b'")));
+}
+
+// A promotion that narrows the representative moves the group to its new
+// interval: after the wide rep leaves, values outside the survivor's range
+// evaluate nothing.
+TEST(SubscriptionIndex, RangePromotionRefilesInterval) {
+  SubscriptionIndex index;
+  index.add(SubscriberId{1}, parse_predicate("x >= 0"));
+  index.add(SubscriberId{2}, parse_predicate("x >= 2 && x < 5"));  // covered by 1
+  ASSERT_EQ(index.group_count(), 1u);
+  EXPECT_EQ(index.match(make_event({{"x", Value(7)}})),
+            std::vector<SubscriberId>{SubscriberId{1}});
+  index.remove(SubscriberId{1});
+  ASSERT_EQ(index.group_count(), 1u);
+  const std::uint64_t before = index.candidates_evaluated();
+  EXPECT_TRUE(index.match(make_event({{"x", Value(7)}})).empty());
+  EXPECT_TRUE(index.match(make_event({{"x", Value(1)}})).empty());
+  EXPECT_EQ(index.candidates_evaluated(), before);  // both outside [2, 5)
+  EXPECT_EQ(index.match(make_event({{"x", Value(2)}})),
+            std::vector<SubscriberId>{SubscriberId{2}});
+  EXPECT_FALSE(index.matches_any(make_event({{"x", Value(5)}})));
+}
+
+// 500 disjoint price bands: an event evaluates the band holding its value
+// and nothing else, in match_into() and matches_any() alike.
+TEST(SubscriptionIndex, DisjointRangesCostHits) {
+  SubscriptionIndex index;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    index.add(SubscriberId{i}, parse_predicate("px >= " + std::to_string(10 * i) +
+                                               " && px < " + std::to_string(10 * i + 5)));
+  }
+  ASSERT_EQ(index.group_count(), 500u);
+  std::vector<SubscriberId> out;
+  for (const std::int64_t px : {0, 123, 4994, 4995}) {
+    const auto e = make_event({{"px", Value(px)}});
+    const std::size_t hits = px % 10 < 5 ? 1 : 0;
+    const std::uint64_t before = index.candidates_evaluated();
+    index.match_into(e, out);
+    EXPECT_EQ(out.size(), hits) << "px " << px;
+    EXPECT_EQ(index.candidates_evaluated() - before, hits) << "px " << px;
+    const std::uint64_t mid = index.candidates_evaluated();
+    EXPECT_EQ(index.matches_any(e), hits == 1);
+    EXPECT_EQ(index.candidates_evaluated() - mid, hits) << "px " << px;
+  }
+  // A value past every band, and events without a numeric px, cost nothing.
+  const std::uint64_t before = index.candidates_evaluated();
+  for (const Value& v : {Value(5000), Value("123"), Value(true)}) {
+    index.match_into(make_event({{"px", v}}), out);
+    EXPECT_TRUE(out.empty());
+  }
+  index.match_into(make_event({{"qty", Value(1)}}), out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(index.candidates_evaluated(), before);
 }
 
 // ------------------------------------------------------------- EventData

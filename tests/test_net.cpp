@@ -27,7 +27,7 @@ namespace {
 
 std::vector<std::byte> bytes_of(const std::string& s) {
   std::vector<std::byte> out(s.size());
-  std::memcpy(out.data(), s.data(), s.size());
+  if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());  // data() may be null
   return out;
 }
 
@@ -309,6 +309,143 @@ TEST(Connection, LoopbackHandshakeAndFrames) {
   EXPECT_EQ(server_frames, batch.payloads.size());
   EXPECT_EQ(client_frames, batch.payloads.size());
   EXPECT_EQ(client.reassembly_rejects(), 0u);
+}
+
+// A handshaken client/server pair over loopback in one loop. The server
+// records every frame payload it receives and why it closed.
+struct LoopbackPair {
+  net::EventLoop loop;
+  std::unique_ptr<net::TcpListener> listener;
+  std::unique_ptr<net::Connection> server;
+  std::unique_ptr<net::Connection> client;
+  std::vector<std::string> received;
+  std::string server_closed;
+  std::size_t stop_after_frames = 0;  // 0 = never stop on frames
+  bool ready = false;                 // the client saw GRYREADY
+};
+
+void connect_pair(LoopbackPair& p) {
+  std::string err;
+  const int lfd = net::tcp_listen(0, &err);
+  ASSERT_GE(lfd, 0) << err;
+  p.listener = std::make_unique<net::TcpListener>(p.loop, lfd, [&p](int fd) {
+    p.server = std::make_unique<net::Connection>(p.loop, fd, "server", false);
+    p.server->set_on_line([&p](const std::string&) { p.server->send_line("GRYREADY"); });
+    p.server->set_on_frame([&p](std::shared_ptr<const sim::FrameMessage> f) {
+      const auto parsed = wire::parse_frame(f->wire_bytes(), 0xff);
+      p.received.emplace_back(reinterpret_cast<const char*>(parsed.payload.data()),
+                              parsed.payload.size());
+      if (p.received.size() == p.stop_after_frames) p.loop.stop();
+    });
+    p.server->set_on_close([&p](const std::string& reason) {
+      p.server_closed = reason;
+      p.loop.stop();
+    });
+    p.server->start();
+  });
+  const int cfd = net::tcp_connect_start("127.0.0.1", p.listener->port(), &err);
+  ASSERT_GE(cfd, 0) << err;
+  p.client = std::make_unique<net::Connection>(p.loop, cfd, "client", /*connecting=*/true);
+  p.client->set_on_line([&p](const std::string& line) {
+    p.ready = line == "GRYREADY";
+    p.loop.stop();
+  });
+  p.client->set_on_frame([](std::shared_ptr<const sim::FrameMessage>) {});
+  p.client->set_on_close([](const std::string&) {});
+  p.client->start();
+  p.client->send_line("GRYHELLO tester pub");
+  p.loop.run_for(sec(5));
+  ASSERT_TRUE(p.ready);
+}
+
+/// `count` frames of varying size; their payloads in send order.
+std::vector<std::string> frame_payloads(std::size_t count) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back("frame-" + std::to_string(i) + std::string(i * 37 % 700, 'p'));
+  }
+  return out;
+}
+
+void send_frames(net::Connection& conn, const std::vector<std::string>& payloads) {
+  for (const std::string& payload : payloads) {
+    std::vector<std::byte> wire;
+    wire::append_frame(wire, 1, bytes_of(payload));
+    conn.send_bytes(wire);
+  }
+}
+
+// send_bytes() only queues: frames queued within one callback are all still
+// in the outbox when it returns, leave together before the next poll, and
+// arrive complete and in order.
+TEST(Connection, FramesQueuedInOneCallbackArriveInOrder) {
+  LoopbackPair p;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(p));
+  const auto payloads = frame_payloads(200);
+  std::size_t queued_in_callback = 0;
+  p.loop.schedule_after(0, [&] {
+    send_frames(*p.client, payloads);
+    queued_in_callback = p.client->outbox_bytes();
+  });
+  p.stop_after_frames = payloads.size();
+  p.loop.run_for(sec(5));
+  EXPECT_GT(queued_in_callback, 200u * wire::kFrameHeaderBytes);
+  EXPECT_EQ(p.received, payloads);
+  EXPECT_EQ(p.client->outbox_bytes(), 0u);
+}
+
+// close() right after send_bytes() still delivers the queued bytes: close
+// makes one last nonblocking flush before it shuts the socket.
+TEST(Connection, CloseFlushesQueuedBytes) {
+  LoopbackPair p;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(p));
+  const auto payloads = frame_payloads(50);
+  bool flushed = false;
+  p.loop.schedule_after(0, [&] {
+    send_frames(*p.client, payloads);
+    flushed = p.client->close();
+  });
+  p.loop.run_for(sec(5));
+  EXPECT_TRUE(flushed);
+  EXPECT_EQ(p.received, payloads);
+  EXPECT_EQ(p.server_closed, "peer closed");
+}
+
+// Destroying a Connection while its deferred flush is queued on the loop is
+// safe (the flush holds it weakly) and, like close(), delivers the bytes.
+TEST(Connection, DestroyedWithFlushPendingDeliversAndTouchesNothing) {
+  LoopbackPair p;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(p));
+  const auto payloads = frame_payloads(50);
+  p.loop.schedule_after(0, [&] {
+    send_frames(*p.client, payloads);
+    p.client.reset();
+  });
+  p.loop.run_for(sec(5));
+  EXPECT_EQ(p.received, payloads);
+  EXPECT_EQ(p.server_closed, "peer closed");
+}
+
+// Neither run() nor run_for() returns with bytes still queued on a writable
+// socket, even when the last callback queued them.
+TEST(Connection, RunAndRunForReturnWithNothingQueued) {
+  LoopbackPair p;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(p));
+  const auto payloads = frame_payloads(20);
+  p.loop.schedule_after(msec(5), [&] {
+    send_frames(*p.client, payloads);
+    p.loop.stop();
+  });
+  p.loop.run();
+  EXPECT_EQ(p.client->outbox_bytes(), 0u);
+
+  p.loop.schedule_after(msec(20), [&] { send_frames(*p.client, payloads); });
+  p.loop.run_for(msec(20));
+  EXPECT_EQ(p.client->outbox_bytes(), 0u);
+
+  p.stop_after_frames = 2 * payloads.size();
+  p.loop.run_for(sec(5));
+  EXPECT_EQ(p.received.size(), 2 * payloads.size());
 }
 
 // ---------------------------------------------------------------------------
