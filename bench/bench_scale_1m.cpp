@@ -347,7 +347,7 @@ void mix64(std::uint64_t& h, std::uint64_t v) {
 ParityRun run_parity(std::size_t pfs_shards, int subscribers, SimDuration window) {
   auto config = paper_config();
   config.num_shbs = 1;
-  config.pfs_shards = pfs_shards;
+  config.broker.pfs_shards = pfs_shards;
   harness::System system(config);
 
   auto wl = paper_workload();

@@ -110,19 +110,6 @@ struct CostModel {
   // against wire::kFrameHeaderBytes.
 };
 
-/// Client reconnect backoff (see DESIGN.md "Fault model"). Retry k (0-based)
-/// of one connection attempt waits min(base * multiplier^k, max), scaled by
-/// a deterministic jitter factor in [1 - jitter, 1 + jitter) derived from
-/// (subscriber id, connection attempt, k). No shared RNG is consumed, so
-/// backoff timing is replayable and never perturbs determinism elsewhere;
-/// distinct subscribers still spread out instead of thundering back in sync.
-struct ReconnectBackoff {
-  SimDuration base = msec(500);
-  SimDuration max = sec(4);
-  double multiplier = 2.0;
-  double jitter = 0.2;
-};
-
 struct BrokerConfig {
   int cores = 6;  // RS/6000 F80
   CostModel costs{};

@@ -1,4 +1,6 @@
-// Serialization of events for the PHB's persistent event log.
+// Serialization of events for the PHB's persistent event log, and the one
+// byte layout of an event that the log and every event-carrying wire
+// message share.
 //
 // A log record is {tick, publisher, seq, attributes, payload, padded size};
 // recovery replays records to rebuild the pubend's D ladder and the
@@ -29,10 +31,15 @@ struct LoggedEvent {
 [[nodiscard]] LoggedEvent decode_logged_event(std::span<const std::byte> bytes);
 
 // The event-data portion of a record — attributes then payload — shared by
-// the persistent log format above and the wire codecs (src/wire/): one
-// encoding of an event, on disk and on the wire.
-
-void encode_event_data(BufWriter& w, const matching::EventData& e);
+// the persistent log format above and the wire messages (core/messages.hpp):
+// one encoding of an event, on disk and on the wire.
+//
+// `W` is BufWriter to encode or ByteCounter to size the same layout (both
+// instantiated in event_codec.cpp). The count differs from
+// EventData::encoded_size(), the cache/log cost-model size that omits the
+// count/tag/length framing.
+template <class W>
+void encode_event_data(W& w, const matching::EventData& e);
 
 /// `owner` (optional) enables zero-copy decode: when non-null, the decoded
 /// event's payload is a view into the reader's underlying bytes, kept alive
@@ -41,11 +48,5 @@ void encode_event_data(BufWriter& w, const matching::EventData& e);
 /// null (the WAL recovery scan does).
 [[nodiscard]] matching::EventDataPtr decode_event_data(
     BufReader& r, const std::shared_ptr<const void>& owner = nullptr);
-
-/// Exact byte count encode_event_data() produces. This differs from
-/// EventData::encoded_size() (the cache/log *cost-model* size, which omits
-/// count/tag/length framing): it is the measured wire size, and the wire
-/// message wire_size() formulas are stated in terms of it.
-[[nodiscard]] std::size_t encoded_event_bytes(const matching::EventData& e);
 
 }  // namespace gryphon::core

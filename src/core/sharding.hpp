@@ -18,15 +18,9 @@
 #include <cstdint>
 
 #include "util/ids.hpp"
+#include "util/rng.hpp"
 
 namespace gryphon::core {
-
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 [[nodiscard]] constexpr std::size_t subscriber_shard(SubscriberId s,
                                                      std::size_t shards) {

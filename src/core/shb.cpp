@@ -1,9 +1,9 @@
 #include "core/shb.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
+#include "core/backoff.hpp"
 #include "core/sharding.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/logging.hpp"
@@ -957,27 +957,9 @@ void SubscriberHostingBroker::consolidate_nack(PubendId p, PerPubend& state,
 SimDuration SubscriberHostingBroker::nack_backoff_delay(std::uint64_t salt,
                                                         std::uint32_t attempt) const {
   const auto& c = config_.costs;
-  double delay = static_cast<double>(c.nack_retry);
-  for (std::uint32_t k = 0;
-       k < attempt && delay < static_cast<double>(c.nack_retry_max); ++k) {
-    delay *= c.nack_retry_multiplier;
-  }
-  delay = std::min(delay, static_cast<double>(c.nack_retry_max));
-  // Deterministic jitter, same scheme as the client reconnect backoff: a
-  // splitmix-style hash of (broker, stream, attempt) spreads stragglers out
-  // without consuming any shared RNG, so retry timing stays replayable.
-  std::uint64_t h =
-      (static_cast<std::uint64_t>(res_.endpoint) + 1) * 0x9e3779b97f4a7c15ULL;
-  h ^= (salt + 1) * 0xbf58476d1ce4e5b9ULL;
-  h ^= (static_cast<std::uint64_t>(attempt) + 1) * 0x94d049bb133111ebULL;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;
-  delay *= 1.0 - c.nack_retry_jitter + 2.0 * c.nack_retry_jitter * unit;
-  return std::max<SimDuration>(1, static_cast<SimDuration>(std::llround(delay)));
+  const Backoff nack{c.nack_retry, c.nack_retry_max, c.nack_retry_multiplier,
+                     c.nack_retry_jitter};
+  return backoff_delay(nack, res_.endpoint, salt, attempt);
 }
 
 void SubscriberHostingBroker::schedule_catchup_nack_retry(SubscriberState& s,

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 
+#include "core/backoff.hpp"
 #include "core/client.hpp"
 #include "core/client_observer.hpp"
 #include "core/config.hpp"
@@ -31,7 +32,7 @@ class DurableSubscriber final : public Client {
     SimDuration ack_interval = msec(250);
     /// Connection retries back off exponentially with deterministic jitter;
     /// backoff.base is the first retry delay (previously a fixed period).
-    ReconnectBackoff backoff{};
+    Backoff backoff{};
     bool auto_reconnect = true;  // reconnect after a connection reset
   };
 
@@ -80,10 +81,6 @@ class DurableSubscriber final : public Client {
 
  private:
   void try_connect();
-
-  /// Delay before retry number `retry` (0-based) of the current connection
-  /// attempt: capped exponential with deterministic jitter.
-  [[nodiscard]] SimDuration backoff_delay(std::uint64_t retry) const;
 
   Options options_;
   sim::EndpointId shb_;

@@ -26,10 +26,7 @@ System::System(SystemConfig config)
   GRYPHON_CHECK(config_.num_pubends >= 1);
   GRYPHON_CHECK(config_.num_intermediates >= 0);
   GRYPHON_CHECK(config_.num_shbs >= 1);
-  GRYPHON_CHECK(config_.pfs_shards >= 1);
-  // The broker-level knob is what SHB construction (and restart_shb) read;
-  // the system-level knob is authoritative.
-  config_.broker.pfs_shards = config_.pfs_shards;
+  GRYPHON_CHECK(config_.broker.pfs_shards >= 1);
 
   if (config_.wire == WireMode::kCodec) {
     wire::CodecTransport::Options topts;

@@ -39,10 +39,6 @@ struct SystemConfig {
   int num_intermediates = 0;  // chain length between the PHB and the SHBs
   int num_shbs = 1;
   core::BrokerConfig broker{};
-  /// SHB session-table / PFS log-stream shards by subscriber-id hash
-  /// (copied into broker.pfs_shards at construction). 1 keeps today's
-  /// single-shard behavior bit-identically (DESIGN.md §4.8).
-  std::size_t pfs_shards = 1;
   storage::DiskConfig phb_disk{};
   storage::DiskConfig shb_disk{};
   /// Byte-level WAL knobs shared by every node's LogVolume + Database

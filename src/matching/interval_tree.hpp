@@ -19,6 +19,8 @@
 #include <memory>
 #include <utility>
 
+#include "util/rng.hpp"
+
 namespace gryphon::matching {
 
 /// A set of doubles between two bounds, each closed or open. Bounds are
@@ -59,7 +61,7 @@ class IntervalTree {
     auto n = std::make_unique<Node>();
     n->iv = iv;
     n->key = key;
-    n->prio = mix(key);
+    n->prio = splitmix64(key);
     n->value = std::move(value);
     pull(*n);
     insert(root_, std::move(n));
@@ -96,13 +98,6 @@ class IntervalTree {
     std::unique_ptr<Node> right;
   };
   using Ptr = std::unique_ptr<Node>;
-
-  static std::uint64_t mix(std::uint64_t x) {  // splitmix64 finalizer
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
 
   /// Tree order: lower bound, closed before open, then key.
   static bool less(const Interval& a, std::uint64_t ak, const Interval& b,

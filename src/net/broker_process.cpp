@@ -56,8 +56,7 @@ core::Publisher::EventFactory make_event_factory(int groups,
 BrokerProcess::BrokerProcess(EventLoop& loop, ProcessOptions options)
     : loop_(loop),
       options_(std::move(options)),
-      net_(loop),
-      transport_(options_.codec) {
+      net_(loop) {
   GRYPHON_CHECK_MSG(is_broker() || is_client(),
                     "unknown role '" << options_.role << "'");
   net_.set_transport(&transport_);

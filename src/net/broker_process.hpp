@@ -72,7 +72,6 @@ struct ProcessOptions {
   storage::DiskConfig disk{};
   storage::StorageOptions storage{};  // file_dir set => FileBackend WALs
   int shb_db_connections = 1;
-  wire::CodecTransport::Options codec{};
 
   // Client-role knobs.
   std::uint32_t client_id = 1;

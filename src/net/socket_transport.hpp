@@ -8,9 +8,8 @@
 // endpoint. The transport routes accordingly:
 //
 //  * to_wire: struct messages from the local endpoint are codec-encoded
-//    (pooled arenas, wire-size parity asserts — the same byte path as
-//    --wire=codec); messages that are already frames (socket injections)
-//    pass through untouched.
+//    (pooled arenas — the same byte path as --wire=codec); messages that
+//    are already frames (socket injections) pass through untouched.
 //  * from_wire: a delivery INTO a proxy endpoint stays bytes (the handler
 //    needs the frame, not the struct); a delivery into the local endpoint
 //    is codec-decoded, nullptr on corruption — the Network counts the
@@ -30,10 +29,6 @@ namespace gryphon::net {
 
 class SocketTransport final : public sim::Transport {
  public:
-  SocketTransport() : SocketTransport(wire::CodecTransport::Options{}) {}
-  explicit SocketTransport(const wire::CodecTransport::Options& options)
-      : codec_(options) {}
-
   [[nodiscard]] const char* name() const override { return "socket"; }
 
   /// Declares `ep` a proxy for a remote peer: deliveries to it keep their

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/rng.hpp"
+
 namespace gryphon::sim {
 
 EndpointId Network::add_endpoint(std::string name, Handler handler) {
@@ -42,16 +44,6 @@ const Network::Link& Network::link(EndpointId a, EndpointId b) const {
                     "no link " << name_of(a) << " -> " << name_of(b));
   return it->second;
 }
-
-namespace {
-/// splitmix64 — the deterministic mixer behind seeded frame mangling.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-}  // namespace
 
 bool Network::send(EndpointId from, EndpointId to, MessagePtr msg) {
   GRYPHON_CHECK(msg != nullptr);
@@ -127,7 +119,7 @@ bool Network::send(EndpointId from, EndpointId to, MessagePtr msg) {
 
 MessagePtr Network::mangle(Link& l, const MessagePtr& msg) {
   ++corrupted_frames_;
-  const std::uint64_t draw = mix64(l.corrupt_seed + l.corrupt_drawn++);
+  const std::uint64_t draw = splitmix64(l.corrupt_seed + l.corrupt_drawn++);
   // Frames are told apart by their ownership handle: even a zero-length
   // mangled frame is still a frame, while struct messages have no bytes.
   const std::span<const std::byte> bytes = msg->wire_bytes();

@@ -12,10 +12,10 @@
 //    and dropped, exactly like a lost message.
 //
 // The contract that keeps struct- and codec-mode runs bit-identical on the
-// same seed: to_wire() must preserve wire_size() (the codec asserts
-// encoded-frame size == the message's analytic estimate), and from_wire()
-// must reproduce the message exactly (the codec asserts a canonical
-// re-encode). Timing then depends only on byte counts, which agree.
+// same seed: to_wire() must preserve wire_size() (a message's wire_size()
+// counts the very field list its encoder writes, core/messages.hpp), and
+// from_wire() must reproduce the message exactly (the codec checks a
+// canonical re-encode). Timing then depends only on byte counts, which agree.
 #pragma once
 
 #include "sim/message.hpp"

@@ -72,6 +72,25 @@ class BufWriter {
   std::vector<std::byte> buf_;
 };
 
+/// The sizing twin of BufWriter: the put_* calls record layouts use, but it
+/// only adds up how many bytes BufWriter would append. Running one field
+/// list through both gives an encoding and its exact size from a single
+/// description.
+class ByteCounter {
+ public:
+  void put_u8(std::uint8_t) { n_ += 1; }
+  void put_zeros(std::size_t n) { n_ += n; }
+  void put_u32(std::uint32_t) { n_ += 4; }
+  void put_u64(std::uint64_t) { n_ += 8; }
+  void put_i64(std::int64_t) { n_ += 8; }
+  void put_string(std::string_view s) { n_ += 4 + s.size(); }
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
 /// Reads fixed-width little-endian values from a byte span. Throws
 /// InvariantViolation on truncated input (corrupt record).
 class BufReader {

@@ -11,20 +11,28 @@
 
 namespace gryphon {
 
+/// The splitmix64 increment (2^64 / golden ratio).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// One splitmix64 step: add the gamma, then the full-avalanche finalizer.
+/// The project's single stateless mixer — seeded fault draws, shard hashes,
+/// treap priorities, sampling and backoff jitter all call it.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitMixGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** seeded via splitmix64. Deterministic across platforms.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
 
   void reseed(std::uint64_t seed) {
-    std::uint64_t x = seed;
     for (auto& word : s_) {
-      // splitmix64 step
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = splitmix64(seed);
+      seed += kSplitMixGamma;
     }
   }
 

@@ -8,34 +8,15 @@
 namespace gryphon::wire {
 namespace {
 
+using core::ConnectMsg;
 using core::MsgKind;
 
 constexpr std::uint8_t kMaxKind = static_cast<std::uint8_t>(MsgKind::kJmsConsumed);
-
-// ConnectMsg flag bits.
-constexpr std::uint8_t kFlagFirstConnect = 1u << 0;
-constexpr std::uint8_t kFlagJmsAutoAck = 1u << 1;
-constexpr std::uint8_t kFlagUseStoredCt = 1u << 2;
-constexpr std::uint8_t kKnownConnectFlags =
-    kFlagFirstConnect | kFlagJmsAutoAck | kFlagUseStoredCt;
-
-void put_range(BufWriter& w, const TickRange& r) {
-  w.put_i64(r.from);
-  w.put_i64(r.to);
-}
 
 TickRange get_range(BufReader& r) {
   const Tick from = r.get_i64();
   const Tick to = r.get_i64();
   return TickRange{from, to};
-}
-
-void put_heads(BufWriter& w, const std::vector<std::pair<PubendId, Tick>>& heads) {
-  w.put_u32(static_cast<std::uint32_t>(heads.size()));
-  for (const auto& [p, t] : heads) {
-    w.put_u32(p.value());
-    w.put_i64(t);
-  }
 }
 
 std::vector<std::pair<PubendId, Tick>> get_heads(BufReader& r) {
@@ -55,146 +36,6 @@ std::vector<std::pair<PubendId, Tick>> get_heads(BufReader& r) {
 struct BadPayload {
   const char* reason;
 };
-
-void encode_payload(BufWriter& w, const core::Msg& msg) {
-  switch (msg.kind()) {
-    case MsgKind::kStreamData: {
-      const auto& m = static_cast<const core::StreamDataMsg&>(msg);
-      w.put_u32(m.pubend.value());
-      w.put_u32(static_cast<std::uint32_t>(m.items.size()));
-      for (const auto& item : m.items) {
-        w.put_u8(static_cast<std::uint8_t>(item.value));
-        put_range(w, item.range);
-        if (item.value == routing::TickValue::kD) {
-          GRYPHON_CHECK_MSG(item.event != nullptr, "D item without event");
-          core::encode_event_data(w, *item.event);
-        }
-      }
-      return;
-    }
-    case MsgKind::kNack: {
-      const auto& m = static_cast<const core::NackMsg&>(msg);
-      w.put_u32(m.pubend.value());
-      w.put_u8(m.authoritative_only ? 1 : 0);
-      w.put_u32(static_cast<std::uint32_t>(m.ranges.size()));
-      for (const auto& r : m.ranges) put_range(w, r);
-      return;
-    }
-    case MsgKind::kReleaseUpdate: {
-      const auto& m = static_cast<const core::ReleaseUpdateMsg&>(msg);
-      w.put_u32(m.pubend.value());
-      w.put_i64(m.released);
-      w.put_i64(m.latest_delivered);
-      return;
-    }
-    case MsgKind::kSubscribe: {
-      const auto& m = static_cast<const core::SubscribeMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_string(m.predicate_text);
-      return;
-    }
-    case MsgKind::kSubscribeAck: {
-      const auto& m = static_cast<const core::SubscribeAckMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      put_heads(w, m.heads);
-      return;
-    }
-    case MsgKind::kUnsubscribe: {
-      const auto& m = static_cast<const core::UnsubscribeMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      return;
-    }
-    case MsgKind::kBrokerResume: {
-      const auto& m = static_cast<const core::BrokerResumeMsg&>(msg);
-      put_heads(w, m.resume_from);
-      return;
-    }
-    case MsgKind::kPublish: {
-      const auto& m = static_cast<const core::PublishMsg&>(msg);
-      w.put_u32(m.publisher.value());
-      w.put_u64(m.seq);
-      w.put_u64(m.acked_below);
-      w.put_u32(m.pubend.value());
-      GRYPHON_CHECK_MSG(m.event != nullptr, "publish without event");
-      core::encode_event_data(w, *m.event);
-      return;
-    }
-    case MsgKind::kPublishAck: {
-      const auto& m = static_cast<const core::PublishAckMsg&>(msg);
-      w.put_u32(m.publisher.value());
-      w.put_u64(m.seq);
-      w.put_i64(m.assigned_tick);
-      return;
-    }
-    case MsgKind::kConnect: {
-      const auto& m = static_cast<const core::ConnectMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      std::uint8_t flags = 0;
-      if (m.first_connect) flags |= kFlagFirstConnect;
-      if (m.jms_auto_ack) flags |= kFlagJmsAutoAck;
-      if (m.use_stored_ct) flags |= kFlagUseStoredCt;
-      w.put_u8(flags);
-      w.put_string(m.predicate_text);
-      m.ct.serialize(w);
-      return;
-    }
-    case MsgKind::kConnected: {
-      const auto& m = static_cast<const core::ConnectedMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      m.initial_ct.serialize(w);
-      return;
-    }
-    case MsgKind::kDisconnect: {
-      const auto& m = static_cast<const core::DisconnectMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      return;
-    }
-    case MsgKind::kUnsubscribeReq: {
-      const auto& m = static_cast<const core::UnsubscribeReqMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      return;
-    }
-    case MsgKind::kAck: {
-      const auto& m = static_cast<const core::AckMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      m.ct.serialize(w);
-      return;
-    }
-    case MsgKind::kEventDelivery: {
-      const auto& m = static_cast<const core::EventDeliveryMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_u32(m.pubend.value());
-      w.put_i64(m.tick);
-      w.put_u8(m.from_catchup ? 1 : 0);
-      GRYPHON_CHECK_MSG(m.event != nullptr, "delivery without event");
-      core::encode_event_data(w, *m.event);
-      return;
-    }
-    case MsgKind::kSilenceDelivery: {
-      const auto& m = static_cast<const core::SilenceDeliveryMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_u32(m.pubend.value());
-      w.put_i64(m.upto);
-      return;
-    }
-    case MsgKind::kGapDelivery: {
-      const auto& m = static_cast<const core::GapDeliveryMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_u32(m.pubend.value());
-      put_range(w, m.range);
-      return;
-    }
-    case MsgKind::kJmsConsumed: {
-      const auto& m = static_cast<const core::JmsConsumedMsg&>(msg);
-      w.put_u32(m.subscriber.value());
-      w.put_u32(m.pubend.value());
-      w.put_i64(m.tick);
-      return;
-    }
-  }
-  GRYPHON_CHECK_MSG(false, "unencodable message kind "
-                               << static_cast<int>(msg.kind()));
-}
 
 /// A wire bool is exactly 0 or 1; anything else is a non-canonical payload.
 bool get_bool(BufReader& r) {
@@ -273,12 +114,15 @@ std::shared_ptr<const core::Msg> decode_payload(
     case MsgKind::kConnect: {
       const SubscriberId sub{r.get_u32()};
       const std::uint8_t flags = r.get_u8();
-      if ((flags & ~kKnownConnectFlags) != 0) throw BadPayload{"bad connect flags"};
+      if ((flags & ~ConnectMsg::kKnownFlags) != 0) {
+        throw BadPayload{"bad connect flags"};
+      }
       std::string pred = r.get_string();
       auto ct = core::CheckpointToken::deserialize(r);
-      return std::make_shared<core::ConnectMsg>(
-          sub, (flags & kFlagFirstConnect) != 0, std::move(pred), std::move(ct),
-          (flags & kFlagJmsAutoAck) != 0, (flags & kFlagUseStoredCt) != 0);
+      return std::make_shared<ConnectMsg>(
+          sub, (flags & ConnectMsg::kFlagFirstConnect) != 0, std::move(pred),
+          std::move(ct), (flags & ConnectMsg::kFlagJmsAutoAck) != 0,
+          (flags & ConnectMsg::kFlagUseStoredCt) != 0);
     }
     case MsgKind::kConnected: {
       const SubscriberId sub{r.get_u32()};
@@ -329,7 +173,7 @@ std::size_t append_encoded_frame(std::vector<std::byte>& out, const core::Msg& m
   // Move the vector through an appending writer so the payload lands
   // directly behind the header — no staging buffer, no copy-out.
   BufWriter w = BufWriter::appending(std::move(out));
-  encode_payload(w, msg);
+  msg.write_payload(w);
   out = w.take();
   finish_frame(out, base, static_cast<std::uint8_t>(msg.kind()));
   return out.size() - base;

@@ -1,9 +1,11 @@
 // encode()/decode() between core::Msg protocol structs and wire frames.
 //
-// One canonical encoding per message: encode(decode(bytes)) == bytes for
-// every frame decode accepts, and encode always produces exactly
-// msg.wire_size() bytes (CodecTransport asserts both, so the analytic
-// formulas in core/messages.hpp and the timing model stay honest).
+// Encoding frames the payload each message writes from its one byte layout
+// (core/messages.hpp), so a frame is always exactly msg.wire_size() bytes:
+// both come from the same field list. Decoding is the hand-written inverse,
+// held to that layout by one canonical encoding per message:
+// encode(decode(bytes)) == bytes for every frame decode accepts
+// (CodecTransport checks it on a seeded sample of receives).
 //
 // decode() never throws. A torn or corrupt frame — or a structurally
 // invalid payload behind a valid CRC (encoder version skew) — yields
@@ -21,10 +23,9 @@
 
 namespace gryphon::wire {
 
-// The envelope constant every wire_size() formula charges IS the frame
-// header: satellite of ISSUE 5, single source of truth.
+// The envelope every wire_size() charges IS the frame header.
 static_assert(kFrameHeaderBytes == core::kEnvelopeBytes,
-              "wire frame header must equal the analytic envelope size");
+              "wire frame header must equal the message envelope size");
 
 /// Encodes `msg` into a complete frame (header + payload). The result's
 /// size equals msg.wire_size() for every message kind.

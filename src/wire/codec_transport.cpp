@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "wire/codec.hpp"
 
 namespace gryphon::wire {
@@ -21,10 +22,10 @@ sim::MessagePtr CodecTransport::to_wire(sim::EndpointId, sim::EndpointId,
   GRYPHON_CHECK_MSG(m != nullptr, "non-protocol message on a codec link");
   const std::size_t need = m->wire_size();
 
-  // Seal-before-grow: a frame is only appended when it provably fits in the
-  // arena's remaining reserved capacity, so the buffer never reallocates
-  // under the (arena, offset, len) views already handed out. The wire-size
-  // parity check below is what makes this pre-check exact.
+  // Seal-before-grow: a frame is only appended when it fits in the arena's
+  // remaining reserved capacity, so the buffer never reallocates under the
+  // (arena, offset, len) views already handed out. wire_size() counts the
+  // same field list the encoder writes, so `need` is exact.
   if (open_arena_ == nullptr ||
       open_arena_->buffer().capacity() - open_arena_->buffer().size() < need) {
     std::vector<std::byte> buf = pool_->acquire();
@@ -36,10 +37,12 @@ sim::MessagePtr CodecTransport::to_wire(sim::EndpointId, sim::EndpointId,
   std::vector<std::byte>& buf = open_arena_->buffer();
   const std::size_t base = buf.size();
   const std::size_t encoded = append_encoded_frame(buf, *m);
-  GRYPHON_CHECK_MSG(encoded == need, "wire-size parity violation for kind "
-                                         << static_cast<int>(m->kind())
-                                         << ": encoded " << encoded
-                                         << " bytes, wire_size() says " << need);
+  // Memory safety, not bookkeeping: a frame longer than `need` may have
+  // grown the buffer and moved the bytes under live views.
+  GRYPHON_CHECK_MSG(encoded == need, "frame for kind "
+                                         << static_cast<int>(m->kind()) << " is "
+                                         << encoded << " bytes but reserved " << need
+                                         << " in the arena");
   ++frames_encoded_;
   return std::make_shared<sim::FrameMessage>(open_arena_, base, encoded);
 }
@@ -80,12 +83,8 @@ bool CodecTransport::should_verify() {
   if (options_.verify_every <= 1) return true;
   // splitmix64 over (seed, decode ordinal): deterministic for a given seed,
   // uncorrelated with the traffic pattern.
-  std::uint64_t x = options_.verify_seed + 0x9E3779B97F4A7C15ull * ++decode_draws_;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
+  const std::uint64_t x =
+      splitmix64(options_.verify_seed + kSplitMixGamma * decode_draws_++);
   return x % options_.verify_every == 0;
 }
 

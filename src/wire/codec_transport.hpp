@@ -5,18 +5,18 @@
 // frames back-to-back into one shared FrameArena (a recycled buffer from a
 // bounded BufferPool), and each send returns an (arena, offset, len)
 // FrameMessage view. The arena's capacity is checked against the message's
-// exact wire_size() *before* encoding, and the arena is sealed (a fresh one
+// wire_size() *before* encoding, and the arena is sealed (a fresh one
 // acquired) when the frame would not fit — so the buffer never reallocates
-// under live views. The decode path is zero-copy: event payload fields of
-// the decoded message are views into the frame, pinned by the arena's
-// shared ownership handle.
+// under live views. wire_size() and the encoder read the same per-kind
+// field list (core/messages.hpp), so that size is exact and struct- and
+// codec-mode runs price identical byte counts. The decode path is
+// zero-copy: event payload fields of the decoded message are views into the
+// frame, pinned by the arena's shared ownership handle.
 //
-// Honesty checks (GRYPHON_CHECK — a failure is a bug, not a tolerable
-// fault):
-//  * wire-size parity at send, on every message: the encoded frame must be
-//    exactly msg.wire_size() bytes, so struct- and codec-mode runs price
-//    identical byte counts and stay schedule-identical on the same seed
-//    (this same check is what guarantees the arena pre-check was exact);
+// Checks (GRYPHON_CHECK — a failure is a bug, not a tolerable fault):
+//  * arena guard at send, on every message: the encoded frame must be
+//    exactly the wire_size() bytes reserved for it, or the buffer may have
+//    moved under live views;
 //  * canonical re-encode at receive, SAMPLED: re-encoding the decoded
 //    message must reproduce the frame bit-for-bit. Running it on every
 //    message roughly doubles decode cost, so steady state verifies a

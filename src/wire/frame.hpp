@@ -8,12 +8,12 @@
 //   | payload (len bytes)                                             |
 //   +-----------------------------------------------------------------+
 //
-// The header is padded to exactly 64 bytes = core::kEnvelopeBytes, so the
-// frame's total size equals the envelope constant the analytic wire_size()
-// formulas (and every paper byte-accounting claim) are stated in. The CRC
-// covers magic..len, the reserved padding and the payload — every byte of
-// the frame except the CRC field itself — so any single flipped byte or
-// torn tail is detected.
+// The header is padded to exactly 64 bytes = core::kEnvelopeBytes, the
+// envelope every message's wire_size() (and every paper byte-accounting
+// claim) includes, so a frame's total size is its message's wire_size().
+// The CRC covers magic..len, the reserved padding and the payload — every
+// byte of the frame except the CRC field itself — so any single flipped
+// byte or torn tail is detected.
 //
 // Parsing never throws: a torn or corrupt frame yields FrameParse with
 // consumed == 0 and a reason + expected/found CRC, mirroring the WAL's

@@ -32,6 +32,22 @@ TEST(SystemHarness, CrashGuards) {
   EXPECT_THROW(system.restart_shb(0), InvariantViolation);  // not crashed
 }
 
+TEST(SystemHarness, BrokerPfsShardsShardsEveryShbIncludingRestarts) {
+  SystemConfig config;
+  config.num_shbs = 2;
+  config.broker.pfs_shards = 4;
+  System system(config);
+  EXPECT_EQ(system.shb(0).pfs().shards(), 4u);
+  EXPECT_EQ(system.shb(1).pfs().shards(), 4u);
+  system.crash_shb(0);
+  system.restart_shb(0);
+  EXPECT_EQ(system.shb(0).pfs().shards(), 4u);
+
+  SystemConfig bad;
+  bad.broker.pfs_shards = 0;
+  EXPECT_THROW(System{bad}, InvariantViolation);
+}
+
 TEST(SystemHarness, PubendIdsAreStableAndOneBased) {
   SystemConfig config;
   config.num_pubends = 3;

@@ -1,7 +1,7 @@
 // Wire-protocol tests: frame/codec round-trips for every MsgKind, the
 // decode-never-throws rejection contract (every torn prefix and every
-// flipped byte of every sample frame must be rejected), wire-size parity
-// between the analytic formulas and the byte codec, structural rejects
+// flipped byte of every sample frame must be rejected), wire_size() equal
+// to the encoded frame for every kind, structural rejects
 // behind a valid CRC, and the System-level guarantees: struct- and
 // codec-mode runs are schedule-identical on the same seed, and seeded
 // frame corruption under chaos never breaks exactly-once.
@@ -121,7 +121,7 @@ TEST(WireCodec, SampleCorpusCoversEveryMsgKind) {
 TEST(WireCodec, EveryKindRoundTripsCanonicallyAtParity) {
   for (const auto& msg : sample_messages()) {
     const auto frame = wire::encode(*msg);
-    // Wire-size parity: the analytic formula IS the encoded size.
+    // wire_size() counts the same field list the encoder writes.
     EXPECT_EQ(frame.size(), msg->wire_size())
         << "kind " << static_cast<int>(msg->kind());
     const auto r = wire::decode(frame);
@@ -498,9 +498,10 @@ RunFingerprint run_scenario(harness::WireMode wire) {
 }
 
 TEST(WireSystem, StructAndCodecRunsAreScheduleIdenticalOnTheSameSeed) {
-  // Wire-size parity is what makes this hold: the codec prices exactly the
-  // bytes the analytic formulas promise, so the bandwidth model computes
-  // identical departure/arrival times and the whole run is bit-identical.
+  // Size parity is what makes this hold: a frame is exactly the message's
+  // wire_size() (one field list sizes and encodes), so the bandwidth model
+  // computes identical departure/arrival times and the whole run is
+  // bit-identical.
   const auto s = run_scenario(harness::WireMode::kStruct);
   const auto c = run_scenario(harness::WireMode::kCodec);
   EXPECT_EQ(s, c);
