@@ -34,16 +34,21 @@ Result run(Tick cache_span_ticks) {
   system.run_for(sec(5));
   subs[0]->disconnect();
   system.run_for(sec(20));
-  const auto nacks_before = system.phb().stats().nacks_received;
-  const auto nack_events_before = system.phb().stats().nack_response_events;
+  // The PHB does not restart here, so its registry counters give deltas
+  // within one incarnation.
+  auto& phb_metrics = system.phb().resources().metrics;
+  const auto* nacks = phb_metrics.counter("phb.nacks_received");
+  const auto* nack_events = phb_metrics.counter("phb.nack_events_served");
+  const auto nacks_before = nacks->get();
+  const auto nack_events_before = nack_events->get();
   const auto istream_before = system.shb().stats().catchup_events_served_from_istream;
   subs[0]->connect();
   system.run_for(sec(60));
   system.verify_exactly_once();
 
   return {system.shb().stats().catchup_events_served_from_istream - istream_before,
-          system.phb().stats().nacks_received - nacks_before,
-          system.phb().stats().nack_response_events - nack_events_before, catchup_s};
+          nacks->get() - nacks_before, nack_events->get() - nack_events_before,
+          catchup_s};
 }
 
 }  // namespace

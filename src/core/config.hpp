@@ -60,8 +60,6 @@ struct CostModel {
   SimDuration db_commit_interval = msec(250);
   /// SHB sends a silence message to a subscriber idle for this long.
   SimDuration subscriber_silence_after = msec(500);
-  /// Disconnected clients retry connection at this period.
-  SimDuration reconnect_retry = msec(500);
 
   // --- PFS ---
   /// Force a PFS log sync after this many appended records (paper: 200).
@@ -77,8 +75,6 @@ struct CostModel {
   std::size_t pfs_imprecise_batch = 1;
 
   // --- flow control / batching ---
-  /// Max knowledge items per StreamDataMsg.
-  std::size_t max_items_per_msg = 128;
   /// Max outstanding nacked ticks per catchup stream.
   Tick catchup_nack_window = 1200;
   /// Client flow control (paper §4.1/[14]): a catchup stream recovers at

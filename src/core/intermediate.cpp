@@ -1,21 +1,10 @@
 #include "core/intermediate.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 namespace gryphon::core {
-
-namespace {
-constexpr const char* kSubsTable = "imb_child_subs";
-
-std::string subs_key(sim::EndpointId child, SubscriberId sub) {
-  return std::to_string(child) + ':' + std::to_string(sub.value());
-}
-}  // namespace
 
 IntermediateBroker::IntermediateBroker(NodeResources& resources, BrokerConfig config,
                                        const std::vector<PubendId>& pubends)
-    : Broker(resources, config) {
+    : Broker(resources, config), downstream_(resources, pubends, "imb_child_subs") {
   for (PubendId p : pubends) pubends_.emplace(p, PerPubend{});
   auto& m = res_.metrics;
   m_items_relayed_ = m.counter("imb.items_relayed");
@@ -26,11 +15,7 @@ IntermediateBroker::IntermediateBroker(NodeResources& resources, BrokerConfig co
 }
 
 void IntermediateBroker::add_child(sim::EndpointId child) {
-  GRYPHON_CHECK(!children_.contains(child));
-  Child c;
-  c.endpoint = child;
-  for (auto& [p, state] : pubends_) c.streams.emplace(p, ChildStream{kTickZero});
-  children_.emplace(child, std::move(c));
+  downstream_.add_child(child, [](PubendId) { return kTickZero; });
 }
 
 void IntermediateBroker::start(bool fresh) {
@@ -48,7 +33,6 @@ void IntermediateBroker::start(bool fresh) {
     for (auto& [p, state] : pubends_) {
       if (state.upstream_pending.empty()) continue;
       send(parent_, std::make_shared<NackMsg>(p, state.upstream_pending.ranges()));
-      ++stats_.nacks_forwarded_upstream;
       m_nacks_consolidated_upstream_->inc();
     }
   });
@@ -58,26 +42,11 @@ void IntermediateBroker::start(bool fresh) {
 }
 
 void IntermediateBroker::recover() {
-  for (const auto& [key, value] : res_.database.scan(kSubsTable)) {
-    const auto colon = key.find(':');
-    GRYPHON_CHECK(colon != std::string::npos);
-    const auto child_ep =
-        static_cast<sim::EndpointId>(std::stoul(key.substr(0, colon)));
-    const SubscriberId sub{static_cast<std::uint32_t>(std::stoul(key.substr(colon + 1)))};
-    auto it = children_.find(child_ep);
-    if (it == children_.end()) continue;
-    const std::string text(reinterpret_cast<const char*>(value.data()), value.size());
-    it->second.filter.add(sub, matching::parse_predicate(text));
-    // Re-announce upstream: the parent may have restarted too; adds are
-    // idempotent.
+  // Re-announce each reloaded row upstream: the parent may have restarted
+  // too; adds are idempotent.
+  downstream_.recover([this](SubscriberId sub, const std::string& text) {
     send(parent_, std::make_shared<SubscribeMsg>(sub, text));
-  }
-}
-
-IntermediateBroker::Child& IntermediateBroker::child(sim::EndpointId ep) {
-  auto it = children_.find(ep);
-  GRYPHON_CHECK_MSG(it != children_.end(), "message from unknown child " << ep);
-  return it->second;
+  });
 }
 
 IntermediateBroker::PerPubend& IntermediateBroker::per(PubendId p) {
@@ -103,7 +72,8 @@ SimDuration IntermediateBroker::cost_of(const Msg& msg) const {
       }
       return costs.control_process +
              static_cast<SimDuration>(n_data) *
-                 static_cast<SimDuration>(children_.size()) * costs.per_child_forward;
+                 static_cast<SimDuration>(downstream_.num_children()) *
+                 costs.per_child_forward;
     }
     case MsgKind::kNack:
       return costs.nack_process;
@@ -122,12 +92,11 @@ void IntermediateBroker::handle(sim::EndpointId from, const Msg& msg) {
       on_nack(from, static_cast<const NackMsg&>(msg));
       break;
     case MsgKind::kReleaseUpdate:
-      on_release_update(from, static_cast<const ReleaseUpdateMsg&>(msg));
+      downstream_.on_release_update(from, static_cast<const ReleaseUpdateMsg&>(msg));
       break;
     case MsgKind::kSubscribe: {
       const auto& m = static_cast<const SubscribeMsg&>(msg);
-      child(from).filter.add(m.subscriber, matching::parse_predicate(m.predicate_text));
-      persist_subscription(from, m.subscriber, m.predicate_text, true);
+      downstream_.subscribe(from, m.subscriber, m.predicate_text);
       subscribe_origin_[m.subscriber] = from;  // route the PHB's ack back
       send(parent_, std::make_shared<SubscribeMsg>(m.subscriber, m.predicate_text));
       break;
@@ -142,13 +111,16 @@ void IntermediateBroker::handle(sim::EndpointId from, const Msg& msg) {
     }
     case MsgKind::kUnsubscribe: {
       const auto& m = static_cast<const UnsubscribeMsg&>(msg);
-      child(from).filter.remove(m.subscriber);
-      persist_subscription(from, m.subscriber, {}, false);
+      downstream_.unsubscribe(from, m.subscriber);
       send(parent_, std::make_shared<UnsubscribeMsg>(m.subscriber));
       break;
     }
     case MsgKind::kBrokerResume:
-      on_broker_resume(from, static_cast<const BrokerResumeMsg&>(msg));
+      // As at the PHB: resume the fresh stream from the local head; the
+      // missed span comes back as flow-controlled nacks (served from this
+      // cache where it still holds the span, consolidated upstream where not).
+      downstream_.resume(from, static_cast<const BrokerResumeMsg&>(msg),
+                         [this](PubendId p) { return per(p).cache.head(); });
       break;
     default:
       GRYPHON_CHECK_MSG(false, "intermediate cannot handle message kind "
@@ -158,16 +130,11 @@ void IntermediateBroker::handle(sim::EndpointId from, const Msg& msg) {
 
 void IntermediateBroker::on_stream_data(const StreamDataMsg& msg) {
   PerPubend& state = per(msg.pubend);
-  stats_.items_relayed += msg.items.size();
   m_items_relayed_->inc(msg.items.size());
 
   // Route to children first (directly from the incoming items, so responses
   // for ranges this node chooses not to cache still reach curious children).
-  for (auto& [ep, c] : children_) {
-    auto it = c.streams.find(msg.pubend);
-    GRYPHON_CHECK(it != c.streams.end());
-    send_items(c, msg.pubend, it->second.on_items(msg.items));
-  }
+  downstream_.fanout(msg.pubend, msg.items);
 
   // Then fold into the local cache and trim it.
   for (const auto& item : msg.items) {
@@ -179,36 +146,26 @@ void IntermediateBroker::on_stream_data(const StreamDataMsg& msg) {
 }
 
 void IntermediateBroker::on_nack(sim::EndpointId from, const NackMsg& msg) {
-  ++stats_.nacks_from_children;
   m_nacks_from_children_->inc();
-  Child& c = child(from);
   PerPubend& state = per(msg.pubend);
-  auto it = c.streams.find(msg.pubend);
-  GRYPHON_CHECK(it != c.streams.end());
 
   if (msg.authoritative_only) {
     // The local cache's silence may predate the relevant subscription:
     // record curiosity and pass the question through to the pubend.
-    for (const TickRange& r : msg.ranges) it->second.add_pending(r);
+    downstream_.hold_nack(from, msg);
     send(parent_,
          std::make_shared<NackMsg>(msg.pubend, msg.ranges, /*authoritative=*/true));
-    ++stats_.nacks_forwarded_upstream;
     m_nacks_consolidated_upstream_->inc();
     return;
   }
 
-  auto outcome = it->second.on_nack(msg.ranges, state.cache);
-
-  std::size_t served = 0;
-  for (const auto& item : outcome.respond) {
-    if (item.value == routing::TickValue::kD) ++served;
-  }
-  stats_.nack_events_served_from_cache += served;
-  m_cache_hit_events_->inc(served);
+  auto outcome = downstream_.serve_nack(from, msg, state.cache);
+  m_cache_hit_events_->inc(outcome.events);
   if (!outcome.respond.empty()) {
-    cpu_then(static_cast<SimDuration>(served) * config_.costs.per_nack_response_event,
+    cpu_then(static_cast<SimDuration>(outcome.events) *
+                 config_.costs.per_nack_response_event,
              [this, from, p = msg.pubend, items = std::move(outcome.respond)] {
-               send_items(child(from), p, items);
+               downstream_.send_items(from, p, items);
              });
   }
 
@@ -222,7 +179,6 @@ void IntermediateBroker::on_nack(sim::EndpointId from, const NackMsg& msg) {
     }
   }
   if (!forward.empty()) {
-    ++stats_.nacks_forwarded_upstream;
     m_nacks_consolidated_upstream_->inc();
     std::uint64_t miss_ticks = 0;
     for (const TickRange& r : forward) {
@@ -233,68 +189,16 @@ void IntermediateBroker::on_nack(sim::EndpointId from, const NackMsg& msg) {
   }
 }
 
-void IntermediateBroker::on_release_update(sim::EndpointId from,
-                                           const ReleaseUpdateMsg& msg) {
-  Child& c = child(from);
-  auto it = c.streams.find(msg.pubend);
-  GRYPHON_CHECK(it != c.streams.end());
-  // As at the PHB: released is taken as reported (migrations may lower it).
-  it->second.released = msg.released;
-  it->second.latest_delivered = std::max(it->second.latest_delivered, msg.latest_delivered);
-}
-
 void IntermediateBroker::send_release_mins() {
-  if (children_.empty()) return;
-  for (auto& [p, state] : pubends_) {
-    Tick rel = kTickInfinity;
-    Tick del = kTickInfinity;
-    for (auto& [ep, c] : children_) {
-      const ChildStream& s = c.streams.at(p);
-      rel = std::min(rel, s.released);
-      del = std::min(del, s.latest_delivered);
+  for (const auto& [p, state] : pubends_) {
+    const auto mins = downstream_.release_mins(p);
+    if (!mins) return;  // no children
+    if (mins->latest_delivered == kTickZero && mins->released == kTickZero) {
+      continue;  // nothing reported yet
     }
-    if (del == kTickZero && rel == kTickZero) continue;  // nothing reported yet
-    send(parent_, std::make_shared<ReleaseUpdateMsg>(p, rel, del));
+    send(parent_,
+         std::make_shared<ReleaseUpdateMsg>(p, mins->released, mins->latest_delivered));
   }
-}
-
-void IntermediateBroker::on_broker_resume(sim::EndpointId from,
-                                          const BrokerResumeMsg& msg) {
-  Child& c = child(from);
-  for (const auto& [p, resume] : msg.resume_from) {
-    PerPubend& state = per(p);
-    // As at the PHB: resume the fresh stream from the local head; the
-    // missed span comes back as flow-controlled nacks (served from this
-    // cache where it still holds the span, consolidated upstream where not).
-    (void)resume;
-    auto it = c.streams.find(p);
-    GRYPHON_CHECK(it != c.streams.end());
-    it->second.reset(state.cache.head());
-  }
-}
-
-void IntermediateBroker::send_items(Child& c, PubendId p,
-                                    const std::vector<routing::KnowledgeItem>& items) {
-  if (items.empty()) return;
-  auto filtered = filter_items(items, &c.filter);
-  const std::size_t chunk = config_.costs.max_items_per_msg;
-  for (std::size_t i = 0; i < filtered.size(); i += chunk) {
-    const auto end = std::min(filtered.size(), i + chunk);
-    send(c.endpoint,
-         std::make_shared<StreamDataMsg>(
-             p, std::vector<routing::KnowledgeItem>(filtered.begin() + i,
-                                                    filtered.begin() + end)));
-  }
-}
-
-void IntermediateBroker::persist_subscription(sim::EndpointId child_ep, SubscriberId sub,
-                                              const std::string& predicate, bool add) {
-  std::vector<std::byte> value;
-  if (add) {
-    value.resize(predicate.size());
-    std::memcpy(value.data(), predicate.data(), predicate.size());
-  }
-  res_.database.commit(0, {{kSubsTable, subs_key(child_ep, sub), std::move(value)}});
 }
 
 }  // namespace gryphon::core

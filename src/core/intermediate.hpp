@@ -1,12 +1,12 @@
 // Intermediate broker (paper §3): a pure cache-and-relay node.
 //
-// Downstream: routes knowledge to children (content-filtered per link),
-// serving nack responses from its volatile event cache. Upstream: forwards
-// subscription changes, aggregates release mins, and *consolidates* nacks —
-// overlapping curiosity from several children becomes one upstream nack, and
-// the single response fans back out to every curious child. The cache is a
-// TickMap with bounded span; losing cached knowledge never affects
-// correctness, only where nacks must travel.
+// Keeps a volatile event cache (a TickMap with bounded span; losing cached
+// knowledge never affects correctness, only where nacks must travel) that
+// its Downstream serves children's nacks from. Upstream it relays
+// subscriptions and their acks, reports the children's release mins, and
+// *consolidates* nacks: overlapping curiosity from several children becomes
+// one upstream nack, and the single response fans back out to every curious
+// child.
 #pragma once
 
 #include <map>
@@ -14,8 +14,6 @@
 
 #include "core/broker.hpp"
 #include "core/child_stream.hpp"
-#include "matching/parser.hpp"
-#include "matching/subscription_index.hpp"
 #include "routing/tick_map.hpp"
 
 namespace gryphon::core {
@@ -41,50 +39,28 @@ class IntermediateBroker final : public Broker {
     return per(p).cache.retained_events();
   }
 
-  struct Stats {
-    std::uint64_t items_relayed = 0;
-    std::uint64_t nacks_from_children = 0;
-    std::uint64_t nacks_forwarded_upstream = 0;
-    std::uint64_t nack_events_served_from_cache = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
  protected:
   void handle(sim::EndpointId from, const Msg& msg) override;
   [[nodiscard]] SimDuration cost_of(const Msg& msg) const override;
 
  private:
-  struct Child {
-    sim::EndpointId endpoint;
-    matching::SubscriptionIndex filter;
-    std::map<PubendId, ChildStream> streams;
-  };
-
   struct PerPubend {
     routing::TickMap cache{kTickZero};
     IntervalSet upstream_pending;  // consolidated nacks awaiting response
   };
 
-  Child& child(sim::EndpointId ep);
   PerPubend& per(PubendId p);
   [[nodiscard]] const PerPubend& per(PubendId p) const;
 
   void on_stream_data(const StreamDataMsg& msg);
   void on_nack(sim::EndpointId from, const NackMsg& msg);
-  void on_release_update(sim::EndpointId from, const ReleaseUpdateMsg& msg);
-  void on_broker_resume(sim::EndpointId from, const BrokerResumeMsg& msg);
-
-  void send_items(Child& c, PubendId p, const std::vector<routing::KnowledgeItem>& items);
   void send_release_mins();
-  void persist_subscription(sim::EndpointId child, SubscriberId sub,
-                            const std::string& predicate, bool add);
 
   sim::EndpointId parent_ = 0;
   std::map<PubendId, PerPubend> pubends_;
-  std::map<sim::EndpointId, Child> children_;
+  Downstream downstream_;
   /// Which child to route a pending SubscribeAck back to.
   std::map<SubscriberId, sim::EndpointId> subscribe_origin_;
-  Stats stats_;
 
   // Registry slots, resolved once at construction.
   MetricsRegistry::Counter* m_items_relayed_;

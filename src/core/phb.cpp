@@ -1,23 +1,16 @@
 #include "core/phb.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace gryphon::core {
-
-namespace {
-constexpr const char* kSubsTable = "phb_child_subs";
-
-std::string subs_key(sim::EndpointId child, SubscriberId sub) {
-  return std::to_string(child) + ':' + std::to_string(sub.value());
-}
-}  // namespace
 
 PublisherHostingBroker::PublisherHostingBroker(NodeResources& resources,
                                                BrokerConfig config,
                                                const std::vector<PubendId>& pubends,
                                                ReleasePolicyPtr policy)
-    : Broker(resources, config), policy_(std::move(policy)) {
+    : Broker(resources, config),
+      downstream_(resources, pubends, "phb_child_subs"),
+      policy_(std::move(policy)) {
   for (PubendId p : pubends) {
     pubends_.emplace(p, std::make_unique<Pubend>(p, res_, policy_));
   }
@@ -56,13 +49,7 @@ PublisherHostingBroker::PublisherHostingBroker(NodeResources& resources,
 }
 
 void PublisherHostingBroker::add_child(sim::EndpointId child) {
-  GRYPHON_CHECK_MSG(!children_.contains(child), "duplicate child " << child);
-  Child c;
-  c.endpoint = child;
-  for (auto& [p, pe] : pubends_) {
-    c.streams.emplace(p, ChildStream{pe->head()});
-  }
-  children_.emplace(child, std::move(c));
+  downstream_.add_child(child, [this](PubendId p) { return pubend(p).head(); });
 }
 
 void PublisherHostingBroker::start() {
@@ -71,7 +58,7 @@ void PublisherHostingBroker::start() {
   every(config_.costs.silence_interval, [this] {
     for (auto& [p, pe] : pubends_) {
       if (auto region = pe->announce_silence(now())) {
-        fanout(p, pe->ticks().items(region->from, region->to));
+        downstream_.fanout(p, pe->ticks().items(region->from, region->to));
       }
     }
   });
@@ -88,18 +75,7 @@ void PublisherHostingBroker::start() {
 
 void PublisherHostingBroker::recover() {
   for (auto& [p, pe] : pubends_) pe->recover();
-  // Child filters were persisted on every (un)subscribe.
-  for (const auto& [key, value] : res_.database.scan(kSubsTable)) {
-    const auto colon = key.find(':');
-    GRYPHON_CHECK(colon != std::string::npos);
-    const auto child_ep =
-        static_cast<sim::EndpointId>(std::stoul(key.substr(0, colon)));
-    const SubscriberId sub{static_cast<std::uint32_t>(std::stoul(key.substr(colon + 1)))};
-    auto it = children_.find(child_ep);
-    if (it == children_.end()) continue;
-    const std::string text(reinterpret_cast<const char*>(value.data()), value.size());
-    it->second.filter.add(sub, matching::parse_predicate(text));
-  }
+  downstream_.recover();
 }
 
 Pubend& PublisherHostingBroker::pubend(PubendId p) {
@@ -115,18 +91,13 @@ std::vector<PubendId> PublisherHostingBroker::pubend_ids() const {
   return out;
 }
 
-PublisherHostingBroker::Child& PublisherHostingBroker::child(sim::EndpointId ep) {
-  auto it = children_.find(ep);
-  GRYPHON_CHECK_MSG(it != children_.end(), "message from unknown child " << ep);
-  return it->second;
-}
-
 SimDuration PublisherHostingBroker::cost_of(const Msg& msg) const {
   const auto& costs = config_.costs;
   switch (msg.kind()) {
     case MsgKind::kPublish:
       return costs.publish_base +
-             static_cast<SimDuration>(children_.size()) * costs.per_child_forward;
+             static_cast<SimDuration>(downstream_.num_children()) *
+                 costs.per_child_forward;
     case MsgKind::kNack:
       return costs.nack_process;
     default:
@@ -142,17 +113,21 @@ void PublisherHostingBroker::handle(sim::EndpointId from, const Msg& msg) {
     case MsgKind::kNack:
       on_nack(from, static_cast<const NackMsg&>(msg));
       break;
-    case MsgKind::kReleaseUpdate:
-      on_release_update(from, static_cast<const ReleaseUpdateMsg&>(msg));
+    case MsgKind::kReleaseUpdate: {
+      const auto& m = static_cast<const ReleaseUpdateMsg&>(msg);
+      downstream_.on_release_update(from, m);
+      refresh_release_mins(m.pubend);
       break;
+    }
     case MsgKind::kSubscribe:
       on_subscribe(from, static_cast<const SubscribeMsg&>(msg));
       break;
     case MsgKind::kUnsubscribe:
-      on_unsubscribe(from, static_cast<const UnsubscribeMsg&>(msg));
+      downstream_.unsubscribe(from, static_cast<const UnsubscribeMsg&>(msg).subscriber);
       break;
     case MsgKind::kBrokerResume:
-      on_broker_resume(from, static_cast<const BrokerResumeMsg&>(msg));
+      downstream_.resume(from, static_cast<const BrokerResumeMsg&>(msg),
+                         [this](PubendId p) { return pubend(p).head(); });
       break;
     default:
       GRYPHON_CHECK_MSG(false, "PHB cannot handle message kind "
@@ -161,14 +136,12 @@ void PublisherHostingBroker::handle(sim::EndpointId from, const Msg& msg) {
 }
 
 void PublisherHostingBroker::on_publish(sim::EndpointId from, const PublishMsg& msg) {
-  ++stats_.publishes;
   m_publishes_->inc();
   m_ack_floor_->set(static_cast<double>(msg.acked_below));
   Pubend& pe = pubend(msg.pubend);
   const auto accepted =
       pe.accept_publish(msg.publisher, msg.seq, msg.acked_below, msg.event, now());
   if (accepted.duplicate) {
-    ++stats_.duplicates;
     m_duplicates_->inc();
     send(from, std::make_shared<PublishAckMsg>(msg.publisher, msg.seq, accepted.tick));
     return;
@@ -183,136 +156,44 @@ void PublisherHostingBroker::on_publish(sim::EndpointId from, const PublishMsg& 
                                 publisher = msg.publisher, seq = msg.seq] {
     Pubend& pend = pubend(p);
     const TickRange region = pend.announce_data(tick, event);
-    fanout(p, pend.ticks().items(region.from, region.to));
+    downstream_.fanout(p, pend.ticks().items(region.from, region.to));
     send(from, std::make_shared<PublishAckMsg>(publisher, seq, tick));
   }));
 }
 
-void PublisherHostingBroker::fanout(PubendId p,
-                                    const std::vector<routing::KnowledgeItem>& items) {
-  if (items.empty()) return;
-  for (auto& [ep, c] : children_) {
-    auto it = c.streams.find(p);
-    GRYPHON_CHECK(it != c.streams.end());
-    send_items(c, p, it->second.on_items(items));
-  }
-}
-
-void PublisherHostingBroker::send_items(Child& c, PubendId p,
-                                        const std::vector<routing::KnowledgeItem>& items) {
-  if (items.empty()) return;
-  auto filtered = filter_items(items, &c.filter);
-  const std::size_t chunk = config_.costs.max_items_per_msg;
-  for (std::size_t i = 0; i < filtered.size(); i += chunk) {
-    const auto end = std::min(filtered.size(), i + chunk);
-    send(c.endpoint,
-         std::make_shared<StreamDataMsg>(
-             p, std::vector<routing::KnowledgeItem>(filtered.begin() + i,
-                                                    filtered.begin() + end)));
-  }
-}
-
 void PublisherHostingBroker::on_nack(sim::EndpointId from, const NackMsg& msg) {
-  ++stats_.nacks_received;
   m_nacks_->inc();
   for (const TickRange& r : msg.ranges) {
     m_nack_span_->add(static_cast<double>(r.to - r.from + 1));
   }
-  Child& c = child(from);
-  Pubend& pe = pubend(msg.pubend);
-  auto it = c.streams.find(msg.pubend);
-  GRYPHON_CHECK(it != c.streams.end());
-  auto outcome = it->second.on_nack(msg.ranges, pe.ticks());
   // The pubend is authoritative: every announced tick is D, S or L, so the
   // only unknown ranges a well-behaved child could produce lie beyond the
   // announcement horizon (e.g. a nack raced with a crash-recovery reset);
   // they stay pending and the fresh stream will cover them.
-  std::size_t served_events = 0;
-  for (const auto& item : outcome.respond) {
-    if (item.value == routing::TickValue::kD) ++served_events;
-  }
-  stats_.nack_response_events += served_events;
-  m_nack_events_served_->inc(served_events);
+  auto outcome = downstream_.serve_nack(from, msg, pubend(msg.pubend).ticks());
+  m_nack_events_served_->inc(outcome.events);
   // Serving cached events costs CPU proportional to the events shipped.
-  cpu_then(static_cast<SimDuration>(served_events) *
+  cpu_then(static_cast<SimDuration>(outcome.events) *
                config_.costs.per_nack_response_event,
-           [this, from, p = msg.pubend, items = std::move(outcome.respond)]() mutable {
-             Child& c2 = child(from);
-             send_items(c2, p, items);
+           [this, from, p = msg.pubend, items = std::move(outcome.respond)] {
+             downstream_.send_items(from, p, items);
            });
 }
 
-void PublisherHostingBroker::on_release_update(sim::EndpointId from,
-                                               const ReleaseUpdateMsg& msg) {
-  Child& c = child(from);
-  auto it = c.streams.find(msg.pubend);
-  GRYPHON_CHECK(it != c.streams.end());
-  // Taken as reported, not max-merged: a subscription migrating onto a
-  // child legitimately LOWERS its release pin (links are FIFO, so there is
-  // no reordering to defend against). A lowered pin only delays future
-  // releases — the lost prefix itself never regresses.
-  it->second.released = msg.released;
-  it->second.latest_delivered = std::max(it->second.latest_delivered, msg.latest_delivered);
-  refresh_release_mins(msg.pubend);
-}
-
 void PublisherHostingBroker::refresh_release_mins(PubendId p) {
-  if (children_.empty()) return;
-  Tick rel = kTickInfinity;
-  Tick del = kTickInfinity;
-  for (auto& [ep, c] : children_) {
-    const ChildStream& s = c.streams.at(p);
-    rel = std::min(rel, s.released);
-    del = std::min(del, s.latest_delivered);
+  if (const auto mins = downstream_.release_mins(p)) {
+    pubend(p).update_mins(mins->released, mins->latest_delivered);
   }
-  pubend(p).update_mins(rel, del);
-}
-
-void PublisherHostingBroker::persist_subscription(sim::EndpointId child_ep,
-                                                  SubscriberId sub,
-                                                  const std::string& predicate,
-                                                  bool add) {
-  std::vector<std::byte> value;
-  if (add) {
-    value.resize(predicate.size());
-    std::memcpy(value.data(), predicate.data(), predicate.size());
-  }
-  res_.database.commit(0, {{kSubsTable, subs_key(child_ep, sub), std::move(value)}});
 }
 
 void PublisherHostingBroker::on_subscribe(sim::EndpointId from, const SubscribeMsg& msg) {
-  Child& c = child(from);
-  c.filter.add(msg.subscriber, matching::parse_predicate(msg.predicate_text));
-  persist_subscription(from, msg.subscriber, msg.predicate_text, /*add=*/true);
+  downstream_.subscribe(from, msg.subscriber, msg.predicate_text);
   // Acknowledge with the application boundary: everything after these heads
   // is filtered with this subscription included (idempotent on re-sends).
   std::vector<std::pair<PubendId, Tick>> heads;
   heads.reserve(pubends_.size());
   for (auto& [p, pe] : pubends_) heads.emplace_back(p, pe->head());
   send(from, std::make_shared<SubscribeAckMsg>(msg.subscriber, std::move(heads)));
-}
-
-void PublisherHostingBroker::on_unsubscribe(sim::EndpointId from,
-                                            const UnsubscribeMsg& msg) {
-  Child& c = child(from);
-  c.filter.remove(msg.subscriber);
-  persist_subscription(from, msg.subscriber, {}, /*add=*/false);
-}
-
-void PublisherHostingBroker::on_broker_resume(sim::EndpointId from,
-                                              const BrokerResumeMsg& msg) {
-  Child& c = child(from);
-  for (const auto& [p, resume] : msg.resume_from) {
-    Pubend& pe = pubend(p);
-    // The fresh stream resumes at the head; the span the child missed while
-    // down — (its resume point, head] — is recovered through its curiosity
-    // stream under the child's own flow control (paper §5.3: the constream
-    // "nacks the events it missed"), not by an unbounded replay burst.
-    (void)resume;
-    auto it = c.streams.find(p);
-    GRYPHON_CHECK(it != c.streams.end());
-    it->second.reset(pe.head());
-  }
 }
 
 }  // namespace gryphon::core

@@ -1,9 +1,9 @@
 // Publisher Hosting Broker.
 //
 // Hosts pubends: accepts publishes, logs each event once (group-committed),
-// announces durable events/silence down the broker tree with per-link
-// content filtering, serves nacks from the authoritative ladder, aggregates
-// the release protocol, and applies the early-release policy.
+// announces durable events and silence, and applies the release protocol
+// with the early-release policy. The child links (filters, fan-out, nack
+// service from the authoritative ladder, release mins) are a Downstream.
 #pragma once
 
 #include <map>
@@ -13,8 +13,6 @@
 #include "core/broker.hpp"
 #include "core/child_stream.hpp"
 #include "core/pubend.hpp"
-#include "matching/parser.hpp"
-#include "matching/subscription_index.hpp"
 
 namespace gryphon::core {
 
@@ -39,51 +37,21 @@ class PublisherHostingBroker final : public Broker {
   [[nodiscard]] Pubend& pubend(PubendId p);
   [[nodiscard]] std::vector<PubendId> pubend_ids() const;
 
-  struct Stats {
-    std::uint64_t publishes = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t nacks_received = 0;
-    std::uint64_t nack_response_events = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
  protected:
   void handle(sim::EndpointId from, const Msg& msg) override;
   [[nodiscard]] SimDuration cost_of(const Msg& msg) const override;
 
  private:
-  struct Child {
-    sim::EndpointId endpoint;
-    matching::SubscriptionIndex filter;
-    std::map<PubendId, ChildStream> streams;
-  };
-
-  Child& child(sim::EndpointId ep);
-
   void on_publish(sim::EndpointId from, const PublishMsg& msg);
   void on_nack(sim::EndpointId from, const NackMsg& msg);
-  void on_release_update(sim::EndpointId from, const ReleaseUpdateMsg& msg);
   void on_subscribe(sim::EndpointId from, const SubscribeMsg& msg);
-  void on_unsubscribe(sim::EndpointId from, const UnsubscribeMsg& msg);
-  void on_broker_resume(sim::EndpointId from, const BrokerResumeMsg& msg);
 
-  /// Fans freshly announced knowledge out to every child.
-  void fanout(PubendId p, const std::vector<routing::KnowledgeItem>& items);
-
-  /// Sends items to one child, filtered and chunked.
-  void send_items(Child& c, PubendId p, const std::vector<routing::KnowledgeItem>& items);
-
-  /// Recomputes release mins for a pubend and feeds them to it.
+  /// Feeds a pubend the release mins over the children.
   void refresh_release_mins(PubendId p);
 
-  /// Persists one child subscription row (for restart).
-  void persist_subscription(sim::EndpointId child, SubscriberId sub,
-                            const std::string& predicate, bool add);
-
   std::map<PubendId, std::unique_ptr<Pubend>> pubends_;
-  std::map<sim::EndpointId, Child> children_;
+  Downstream downstream_;
   ReleasePolicyPtr policy_;
-  Stats stats_;
 
   // Registry slots, resolved once at construction (hot path = one add
   // through the pointer). The probes are broker-owned so a crash removes

@@ -6,6 +6,9 @@
 namespace gryphon::harness {
 
 namespace {
+/// Link from every publisher and subscriber client to its broker.
+constexpr sim::LinkConfig kClientLink{msec(1), 1e9};
+
 std::vector<PubendId> make_pubend_ids(int n) {
   std::vector<PubendId> out;
   out.reserve(static_cast<std::size_t>(n));
@@ -192,7 +195,7 @@ core::Publisher& System::add_publisher(PubendId pubend, SimDuration interval,
   auto pub = std::make_unique<core::Publisher>(sim_, net_, options,
                                                phb_node_->endpoint, std::move(factory),
                                                &oracle_);
-  net_.connect(pub->endpoint(), phb_node_->endpoint, config_.client_link);
+  net_.connect(pub->endpoint(), phb_node_->endpoint, kClientLink);
   publishers_.push_back(std::move(pub));
   return *publishers_.back();
 }
@@ -205,7 +208,7 @@ core::DurableSubscriber& System::add_subscriber(core::DurableSubscriber::Options
       sim_, net_, options, shb_nodes_[static_cast<std::size_t>(shb_index)]->endpoint,
       &oracle_);
   net_.connect(sub->endpoint(), shb_nodes_[static_cast<std::size_t>(shb_index)]->endpoint,
-               config_.client_link);
+               kClientLink);
   oracle_.register_subscriber(sub.get(), std::move(predicate), machine);
   subscribers_.push_back({std::move(sub), shb_index});
   return *subscribers_.back().client;
@@ -228,7 +231,7 @@ void System::migrate_subscriber(core::DurableSubscriber& subscriber,
   const auto new_endpoint =
       shb_nodes_[static_cast<std::size_t>(new_shb_index)]->endpoint;
   if (!net_.are_connected(subscriber.endpoint(), new_endpoint)) {
-    net_.connect(subscriber.endpoint(), new_endpoint, config_.client_link);
+    net_.connect(subscriber.endpoint(), new_endpoint, kClientLink);
   }
   it->shb_index = new_shb_index;
   subscriber.migrate(new_endpoint);

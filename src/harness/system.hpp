@@ -48,7 +48,6 @@ struct SystemConfig {
   /// Per-transaction DB-engine cost at the SHB (JMS auto-ack bottleneck).
   SimDuration shb_db_per_txn_overhead = 0;
   sim::LinkConfig broker_link{msec(1), 1e9};
-  sim::LinkConfig client_link{msec(1), 1e9};
   /// Periodic whole-process stall at each SHB (the paper attributes the
   /// periodic dips in latestDelivered's advance rate to JVM GC pauses).
   /// Disabled when period == 0.

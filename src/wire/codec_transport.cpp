@@ -11,7 +11,6 @@ namespace gryphon::wire {
 CodecTransport::CodecTransport(const Options& options)
     : options_(options),
       pool_(std::make_shared<BufferPool>(BufferPool::Options{
-          .max_buffers = options.pool_max_buffers,
           .max_retained_bytes = std::max<std::size_t>(options.arena_bytes, 1u << 20),
           .initial_bytes = options.arena_bytes,
       })) {}

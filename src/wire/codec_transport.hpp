@@ -43,8 +43,6 @@ class CodecTransport final : public sim::Transport {
     /// Arena capacity: how many frame bytes coalesce into one pooled buffer
     /// before it seals. A message larger than this gets a dedicated arena.
     std::size_t arena_bytes = 64 * 1024;
-    /// Bound on recycled arena/scratch buffers (see util/buffer_pool.hpp).
-    std::size_t pool_max_buffers = 8;
     /// Canonical re-encode check cadence: verify ~1 in N decoded frames.
     /// <= 1 verifies every frame (the tests' and chaos legs' setting).
     std::uint32_t verify_every = 64;
