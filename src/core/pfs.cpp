@@ -149,8 +149,10 @@ void PersistentFilteringSubsystem::open(const std::vector<PubendId>& pubends) {
     for (const auto& [key, value] : db.scan_prefix(kSubTable, prefix)) {
       const SubscriberId s{
           static_cast<std::uint32_t>(std::stoul(key.substr(prefix.size())))};
-      state.shards[subscriber_shard(s, shards_)].durable_last_index[s] =
-          static_cast<storage::LogIndex>(decode_i64(value));
+      Shard& shard = state.shards[subscriber_shard(s, shards_)];
+      const auto idx = static_cast<storage::LogIndex>(decode_i64(value));
+      shard.durable_last_index[s] = idx;
+      shard.last_index[s].index = idx;
     }
   }
 
@@ -158,7 +160,6 @@ void PersistentFilteringSubsystem::open(const std::vector<PubendId>& pubends) {
   // metadata snapshot, rebuilding lastTimestamp and lastIndex(s).
   for (auto& [p, state] : pubends_) {
     for (Shard& shard : state.shards) {
-      shard.last_index = shard.durable_last_index;
       shard.last_timestamp = shard.durable_timestamp;
       const storage::LogIndex durable = volume.durable_index(shard.stream);
       storage::LogIndex from = std::max<storage::LogIndex>(
@@ -169,12 +170,15 @@ void PersistentFilteringSubsystem::open(const std::vector<PubendId>& pubends) {
         Record rec = decode(*bytes);
         GRYPHON_CHECK(rec.range.to > shard.last_timestamp);
         shard.last_timestamp = rec.range.to;
-        for (const auto& [sub, prev] : rec.entries) shard.last_index[sub] = i;
+        for (const auto& [sub, prev] : rec.entries) {
+          shard.last_index[sub].index = i;
+          shard.durable_last_index[sub] = i;
+        }
       }
       shard.durable_scan_index = std::max(shard.durable_scan_index, durable);
       shard.durable_timestamp = shard.last_timestamp;
-      shard.durable_last_index = shard.last_index;
       shard.meta_dirty = true;
+      shard.all_rows_dirty = true;
 
       // Re-chop records resurrected below the committed chop boundary: the
       // byte-level recovery can bring back records whose chop frame was
@@ -199,14 +203,22 @@ void PersistentFilteringSubsystem::write_record(
   Record rec;
   rec.range = range;
   rec.entries.reserve(matching.size());
+  // One probe per subscriber: read its back-pointer and move its head to
+  // the index this record is about to take.
+  const storage::LogIndex idx = res_.log_volume.next_index(shard.stream);
   for (SubscriberId s : matching) {
-    auto it = shard.last_index.find(s);
-    rec.entries.emplace_back(s, it == shard.last_index.end() ? storage::kNoIndex
-                                                             : it->second);
+    auto& entry = *shard.last_index.try_emplace(s).first;
+    Shard::Head& head = entry.second;
+    rec.entries.emplace_back(s, head.index);
+    head.index = idx;
+    if (head.capture != shard.capture) {
+      head.capture = shard.capture;
+      shard.written.push_back(&entry);
+    }
   }
-  const storage::LogIndex idx = res_.log_volume.append(
+  const storage::LogIndex appended = res_.log_volume.append(
       shard.stream, encode(rec, res_.log_volume.acquire_buffer()));
-  for (SubscriberId s : matching) shard.last_index[s] = idx;
+  GRYPHON_CHECK(appended == idx);
   shard.last_timestamp = range.to;
   state.last_timestamp = std::max(state.last_timestamp, range.to);
   ++records_written_;
@@ -270,11 +282,12 @@ void PersistentFilteringSubsystem::sync(std::function<void()> on_durable) {
   // Capture the state the barrier will cover; it becomes the durable
   // snapshot (and thus DB-committable metadata) at completion. All shards
   // share every barrier, so the pubend-level durable timestamp stays the
-  // pubend-level lastTimestamp at capture time.
+  // pubend-level lastTimestamp at capture time. Only the chain heads
+  // written since the previous capture travel with it.
   struct ShardSnapshot {
     Tick last_timestamp;
     storage::LogIndex scan_index;
-    std::unordered_map<SubscriberId, storage::LogIndex> last_index;
+    std::vector<std::pair<SubscriberId, storage::LogIndex>> heads;
   };
   struct Snapshot {
     PubendId pubend;
@@ -289,9 +302,16 @@ void PersistentFilteringSubsystem::sync(std::function<void()> on_durable) {
     snap.last_timestamp = state.last_timestamp;
     snap.shards.reserve(state.shards.size());
     for (Shard& shard : state.shards) {
-      snap.shards.push_back({shard.last_timestamp,
-                             res_.log_volume.next_index(shard.stream) - 1,
-                             shard.last_index});
+      ShardSnapshot ss{shard.last_timestamp,
+                       res_.log_volume.next_index(shard.stream) - 1,
+                       {}};
+      ss.heads.reserve(shard.written.size());
+      for (const auto* entry : shard.written) {
+        ss.heads.emplace_back(entry->first, entry->second.index);
+      }
+      shard.written.clear();
+      ++shard.capture;
+      snap.shards.push_back(std::move(ss));
     }
     snaps.push_back(std::move(snap));
   }
@@ -307,8 +327,15 @@ void PersistentFilteringSubsystem::sync(std::function<void()> on_durable) {
             if (ss.last_timestamp > shard.durable_timestamp) {
               shard.durable_timestamp = ss.last_timestamp;
               shard.durable_scan_index = ss.scan_index;
-              shard.durable_last_index = ss.last_index;
               shard.meta_dirty = true;
+            }
+            // Applied even when a later barrier already advanced the
+            // timestamp: each capture lists only its own heads. Heads only
+            // grow, so the max keeps a late, older capture harmless.
+            for (const auto& [sub, idx] : ss.heads) {
+              auto [it, inserted] = shard.durable_last_index.try_emplace(sub, idx);
+              if (!inserted) it->second = std::max(it->second, idx);
+              shard.dirty_rows.insert(sub);
             }
           }
         }
@@ -352,7 +379,7 @@ void PersistentFilteringSubsystem::read(PubendId pubend, SubscriberId subscriber
   bool truncated_by_chop = false;
   storage::LogIndex cur = storage::kNoIndex;
   if (auto it = shard.last_index.find(subscriber); it != shard.last_index.end()) {
-    cur = it->second;
+    cur = it->second.index;
   }
   std::vector<TickRange> descending;
   while (cur != storage::kNoIndex) {
@@ -443,18 +470,27 @@ std::vector<storage::Database::Put> PersistentFilteringSubsystem::dirty_metadata
   for (auto& [p, state] : pubends_) {
     for (std::size_t k = 0; k < state.shards.size(); ++k) {
       Shard& shard = state.shards[k];
-      if (!shard.meta_dirty) continue;
-      puts.push_back({kMetaTable, meta_key(p, k, "last_ts"),
-                      encode_i64(shard.durable_timestamp)});
-      puts.push_back({kMetaTable, meta_key(p, k, "scan"),
-                      encode_i64(static_cast<std::int64_t>(shard.durable_scan_index))});
-      puts.push_back(
-          {kMetaTable, meta_key(p, k, "chopped"), encode_i64(shard.chopped_upto)});
-      for (const auto& [s, idx] : shard.durable_last_index) {
+      if (shard.meta_dirty) {
+        puts.push_back({kMetaTable, meta_key(p, k, "last_ts"),
+                        encode_i64(shard.durable_timestamp)});
+        puts.push_back(
+            {kMetaTable, meta_key(p, k, "scan"),
+             encode_i64(static_cast<std::int64_t>(shard.durable_scan_index))});
+        puts.push_back(
+            {kMetaTable, meta_key(p, k, "chopped"), encode_i64(shard.chopped_upto)});
+        shard.meta_dirty = false;
+      }
+      const auto put_row = [&](SubscriberId s, storage::LogIndex idx) {
         puts.push_back(
             {kSubTable, sub_key(p, s), encode_i64(static_cast<std::int64_t>(idx))});
+      };
+      if (shard.all_rows_dirty) {
+        for (const auto& [s, idx] : shard.durable_last_index) put_row(s, idx);
+      } else {
+        for (SubscriberId s : shard.dirty_rows) put_row(s, shard.durable_last_index.at(s));
       }
-      shard.meta_dirty = false;
+      shard.all_rows_dirty = false;
+      shard.dirty_rows.clear();
     }
   }
   return puts;

@@ -27,7 +27,10 @@
 // requested start, filling a bounded buffer; S ticks between the returned Q
 // ranges are implicit. Metadata (lastTimestamp, lastIndex(s), durable scan
 // position) lives in database tables and is re-synchronized on recovery by a
-// forward scan of the durable log suffix.
+// forward scan of the durable log suffix. Metadata upkeep is O(changed): a
+// sync captures only the chain heads written since the previous capture,
+// and the periodic harvest emits only the lastIndex rows those captures
+// changed (every row once after open()).
 //
 // SHARDING (DESIGN.md §4.8): with `shards` > 1 each pubend keeps one log
 // stream *per subscriber-id-hash shard* and an append splits its matching
@@ -45,6 +48,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
@@ -153,15 +157,31 @@ class PersistentFilteringSubsystem {
   /// Per-(pubend, shard) log stream + chain state: everything keyed by a
   /// subscriber lives here, in the shard its id hashes to.
   struct Shard {
+    /// A subscriber's chain head; `capture` is the sync capture that last
+    /// listed it in `written`.
+    struct Head {
+      storage::LogIndex index = storage::kNoIndex;
+      std::uint64_t capture = 0;
+    };
+    using HeadMap = std::unordered_map<SubscriberId, Head>;
+
     storage::LogStreamId stream = 0;
     Tick last_timestamp = kTickZero;  // newest tick covered by a record here
     Tick chopped_upto = kTickZero;    // everything at or below was chopped
-    std::unordered_map<SubscriberId, storage::LogIndex> last_index;
+    HeadMap last_index;
+    /// Heads written since the last sync() capture, each once (node
+    /// pointers: an unordered_map never moves its elements, and heads are
+    /// never erased).
+    std::vector<HeadMap::value_type*> written;
+    std::uint64_t capture = 1;  // current capture generation
     // Durable snapshot (advanced at sync completion) + DB dirty tracking.
     Tick durable_timestamp = kTickZero;
     storage::LogIndex durable_scan_index = storage::kNoIndex;
     std::unordered_map<SubscriberId, storage::LogIndex> durable_last_index;
     bool meta_dirty = false;
+    /// lastIndex rows changed since the last harvest; every row after open().
+    std::unordered_set<SubscriberId> dirty_rows;
+    bool all_rows_dirty = false;
   };
 
   struct PerPubend {

@@ -267,9 +267,10 @@ class SubscriberHostingBroker final : public Broker {
   /// Session table, sharded by subscriber-id hash (core/sharding.hpp); one
   /// shard with pfs_shards == 1, bit-identical with the old flat map.
   std::vector<std::map<SubscriberId, SubscriberState>> sub_shards_;
-  /// Connected subscribers, id-ordered: the silence sweep walks only live
-  /// sessions instead of the whole durable population.
-  std::set<SubscriberId> connected_;
+  /// Connected subscribers, id-ordered, to their (node-stable) session
+  /// state: the constream's delivery scan and the silence sweep touch only
+  /// live sessions, never a parked subscriber's state.
+  std::map<SubscriberId, SubscriberState*> connected_;
   matching::SubscriptionIndex hosted_;  // all durable subscriptions (for PFS)
   std::vector<SubscriberId> match_scratch_;  // constream match() reuse buffer
   PersistentFilteringSubsystem pfs_;

@@ -1,5 +1,6 @@
 #include "matching/predicate.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -58,6 +59,9 @@ class Compare final : public Predicate {
 
   bool equality_key(EqualityKey& out) const override {
     if (op_ != CompareOp::kEq) return false;
+    // `x == NaN` matches nothing, and a NaN key would never find its own
+    // bucket again (NaN != NaN): leave it to the scan list.
+    if (value_.is_numeric() && std::isnan(value_.as_double())) return false;
     out = {attribute_, value_};
     return true;
   }

@@ -39,6 +39,106 @@ void narrow_range(const Predicate& p, const std::string*& attr, Interval& iv) {
 
 }  // namespace
 
+std::uint32_t SubscriptionIndex::slot_of(const std::string& attribute) {
+  auto [it, inserted] =
+      slot_ids_.try_emplace(attribute, static_cast<std::uint32_t>(slot_names_.size()));
+  if (inserted) {
+    slot_names_.push_back(attribute);
+    slot_values_.emplace_back();
+  }
+  return it->second;
+}
+
+bool SubscriptionIndex::compile_clauses(const Predicate& p, std::vector<Clause>& code) {
+  if (const auto* terms = p.and_terms()) {
+    for (const auto& t : *terms) {
+      if (!compile_clauses(*t, code)) return false;
+    }
+    return true;
+  }
+  if (p.is_match_all()) return true;  // the empty conjunction
+  if (const auto* attr = p.exists_attribute()) {
+    code.push_back({slot_of(*attr), Clause::Op::kExists, 0});
+    return true;
+  }
+  Predicate::CompareView c;
+  if (!p.compare_view(c) || !c.value->is_numeric()) return false;
+  Clause::Op op = Clause::Op::kEq;
+  switch (c.op) {
+    case CompareOp::kEq: op = Clause::Op::kEq; break;
+    case CompareOp::kNe: op = Clause::Op::kNe; break;
+    case CompareOp::kLt: op = Clause::Op::kLt; break;
+    case CompareOp::kLe: op = Clause::Op::kLe; break;
+    case CompareOp::kGt: op = Clause::Op::kGt; break;
+    case CompareOp::kGe: op = Clause::Op::kGe; break;
+  }
+  code.push_back({slot_of(*c.attribute), op, c.value->as_double()});
+  return true;
+}
+
+SubscriptionIndex::Program SubscriptionIndex::compile(const Predicate& p,
+                                                      std::vector<Clause>& code) {
+  const auto begin = static_cast<std::uint32_t>(code.size());
+  if (!compiled_ || !compile_clauses(p, code)) {
+    code.resize(begin);
+    return {};
+  }
+  return {begin, static_cast<std::uint32_t>(code.size()), true};
+}
+
+void SubscriptionIndex::compile_group(Group* group) {
+  group->code.clear();
+  group->rep_program = compile(*group->rep, group->code);
+  for (CheckedSet& s : group->checked) s.program = compile(*s.predicate, group->code);
+}
+
+const SubscriptionIndex::SlotValue& SubscriptionIndex::resolve(
+    std::uint32_t slot, const EventData& event) const {
+  SlotValue& v = slot_values_[slot];
+  if (v.epoch == epoch_) return v;
+  v.epoch = epoch_;
+  const Value* a = event.attribute(slot_names_[slot]);
+  if (a == nullptr) {
+    v.kind = SlotValue::Kind::kMissing;
+  } else if (a->is_numeric()) {
+    v.kind = SlotValue::Kind::kNumeric;
+    v.x = a->as_double();
+  } else {
+    v.kind = SlotValue::Kind::kOther;
+  }
+  return v;
+}
+
+bool SubscriptionIndex::run(const Group& group, const Program& program,
+                            const Predicate& predicate, const EventData& event) const {
+  if (!program.compiled) return predicate.matches(event);
+  const Clause* end = group.code.data() + program.end;
+  for (const Clause* c = group.code.data() + program.begin; c != end; ++c) {
+    const SlotValue& v = resolve(c->slot, event);
+    bool ok = false;
+    if (v.kind != SlotValue::Kind::kNumeric) {
+      // Compare::matches on a string or bool value against a numeric
+      // constant: unequal and unordered, so only `!=` holds.
+      ok = c->op == Clause::Op::kExists ? v.kind != SlotValue::Kind::kMissing
+                                        : c->op == Clause::Op::kNe &&
+                                              v.kind == SlotValue::Kind::kOther;
+    } else {
+      // Value's numeric formulas on as_double() images, NaN included.
+      switch (c->op) {
+        case Clause::Op::kEq: ok = v.x == c->value; break;
+        case Clause::Op::kNe: ok = !(v.x == c->value); break;
+        case Clause::Op::kLt: ok = v.x < c->value; break;
+        case Clause::Op::kLe: ok = !(c->value < v.x); break;
+        case Clause::Op::kGt: ok = c->value < v.x; break;
+        case Clause::Op::kGe: ok = !(v.x < c->value); break;
+        case Clause::Op::kExists: ok = true; break;
+      }
+    }
+    if (!ok) return false;
+  }
+  return true;
+}
+
 void SubscriptionIndex::add(SubscriberId id, PredicatePtr predicate) {
   GRYPHON_CHECK(predicate != nullptr);
   remove(id);
@@ -103,7 +203,8 @@ void SubscriptionIndex::insert_member(SubscriberId id, PredicatePtr predicate) {
       if (equivalent) {
         join_exact(g, id);
       } else {
-        g->checked.push_back(CheckedSet{predicate, canon, {id}});
+        g->checked.push_back(
+            CheckedSet{predicate, canon, {id}, compile(*predicate, g->code)});
         by_canon_.emplace(std::move(canon), g);
       }
       all_.emplace(id, MemberInfo{std::move(predicate), g, equivalent});
@@ -119,6 +220,7 @@ void SubscriptionIndex::insert_member(SubscriberId id, PredicatePtr predicate) {
   g->exact.push_back(id);
   g->bucketed = bucketed;
   g->bucket = std::move(key);
+  compile_group(g);
   if (bucketed) {
     buckets_[g->bucket].push_back(g);
   } else {
@@ -241,6 +343,7 @@ void SubscriptionIndex::promote(Group* group) {
     }
   }
   group->checked = std::move(keep);
+  compile_group(group);
   for (CheckedSet& s : eject) {
     for (SubscriberId id : s.ids) {
       PredicatePtr own = all_.at(id).predicate;
@@ -268,6 +371,7 @@ void SubscriptionIndex::remove(SubscriberId id) {
       }
       auto& list = g->checked;
       list.erase(list.begin() + (set - list.data()));
+      compile_group(g);  // drops the set's clauses from the group's array
     }
     all_.erase(it);
     return;
@@ -292,7 +396,8 @@ void SubscriptionIndex::eval_group(const Group* g, const EventData& event,
                                    std::vector<SubscriberId>& out,
                                    std::size_t& contributing, bool& unsorted) const {
   ++evals_;
-  if (!g->rep->matches(event)) return;  // covered members cannot match either
+  // Covered members cannot match when the rep misses.
+  if (!run(*g, g->rep_program, *g->rep, event)) return;
   const std::size_t before = out.size();
   if (!g->exact.empty()) {
     if (!g->exact_sorted) {
@@ -304,7 +409,7 @@ void SubscriptionIndex::eval_group(const Group* g, const EventData& event,
   bool checked_hit = false;
   for (const CheckedSet& s : g->checked) {
     ++evals_;
-    if (s.predicate->matches(event)) {
+    if (run(*g, s.program, *s.predicate, event)) {
       out.insert(out.end(), s.ids.begin(), s.ids.end());
       checked_hit = true;
     }
@@ -332,6 +437,7 @@ bool SubscriptionIndex::visit_ranges(const EventData& event, F&& f) const {
 void SubscriptionIndex::match_into(const EventData& event,
                                    std::vector<SubscriberId>& out) const {
   out.clear();
+  begin_event();
   // Size the candidate set (plain scan groups + every hit bucket), then evaluate:
   // the output is reserved once, with no allocation beyond the result
   // itself — and none at all when the caller reuses a scratch vector.
@@ -402,9 +508,10 @@ bool SubscriptionIndex::matches_any(const EventData& event) const {
   // Only representatives are evaluated: every group keeps an exact member,
   // so a rep hit is a live subscription matching, and a rep miss rules out
   // the whole group.
+  begin_event();
   const auto rep_hit = [&](const Group* g) {
     ++evals_;
-    return g->rep->matches(event);
+    return run(*g, g->rep_program, *g->rep, event);
   };
   for (const Group* g : plain_scan_) {
     if (rep_hit(g)) return true;

@@ -40,6 +40,17 @@
 // probed with a borrowed-reference key type (C++20 heterogeneous lookup),
 // so match()/matches_any() never materialize a key: probing is hash +
 // compare over the event's own strings.
+//
+// Evaluation runs on *compiled clause arrays*: whenever a group is created,
+// joined by a new checked set, promoted or shrunk, its representative and
+// each checked set that is a conjunction of numeric comparisons and
+// `exists` tests are compiled into one contiguous per-group array of
+// (attribute slot, op, double constant) clauses over interned attribute
+// names. A match resolves each slot it touches once per event (missing /
+// numeric value / other) and walks the array with no virtual calls, string
+// compares or Value visits, under exactly Compare::matches' formulas.
+// Anything else (`||`, `!`, string or bool constants) keeps
+// Predicate::matches. Output and candidates_evaluated() are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +69,10 @@ namespace gryphon::matching {
 
 class SubscriptionIndex {
  public:
+  /// `compiled` = false evaluates every predicate through
+  /// Predicate::matches: the reference the clause arrays are tested against.
+  explicit SubscriptionIndex(bool compiled = true) : compiled_(compiled) {}
+
   /// Adds or replaces the subscription of `id`.
   void add(SubscriberId id, PredicatePtr predicate);
 
@@ -126,6 +141,29 @@ class SubscriptionIndex {
     }
   };
 
+  /// One compiled conjunct: `slot <op> value`, or exists(slot).
+  struct Clause {
+    enum class Op : std::uint8_t { kEq, kNe, kLt, kLe, kGt, kGe, kExists };
+    std::uint32_t slot = 0;
+    Op op = Op::kExists;
+    double value = 0;
+  };
+  /// A predicate's run [begin, end) in its group's clause array; not
+  /// `compiled` means it is evaluated through Predicate::matches.
+  struct Program {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    bool compiled = false;
+  };
+  /// One slot resolved against the current event; `epoch` names the match
+  /// call that resolved it, so a new event invalidates every slot in O(1).
+  struct SlotValue {
+    enum class Kind : std::uint8_t { kMissing, kNumeric, kOther };
+    std::uint64_t epoch = 0;
+    Kind kind = Kind::kMissing;
+    double x = 0;
+  };
+
   /// Checked members sharing one canonical text. The set's predicate is
   /// evaluated once per event for all of them — the same duplicate-
   /// absorption exact members get, one tier down.
@@ -133,6 +171,7 @@ class SubscriptionIndex {
     PredicatePtr predicate;
     std::string canon;  // predicate->to_string(), key in by_canon_
     std::vector<SubscriberId> ids;
+    Program program;  // in the owning group's code
   };
 
   struct Group;
@@ -158,6 +197,9 @@ class SubscriptionIndex {
     RangeMap::value_type* range = nullptr;
     Interval interval;
     std::uint64_t range_key = 0;
+    /// Compiled clauses of the rep, then of each checked set.
+    std::vector<Clause> code;
+    Program rep_program;
   };
 
   struct MemberInfo {
@@ -185,6 +227,20 @@ class SubscriptionIndex {
   template <typename F>
   bool visit_ranges(const EventData& event, F&& f) const;
   static CheckedSet* find_checked(Group* group, const std::string& canon);
+  /// Appends `p`'s clauses to `code` and returns their run; an uncompiled
+  /// Program, `code` unchanged, when `p` is not a conjunction of numeric
+  /// comparisons and exists tests (or the index is not `compiled`).
+  Program compile(const Predicate& p, std::vector<Clause>& code);
+  /// compile()'s recursion; on false `code` may hold a partial run.
+  bool compile_clauses(const Predicate& p, std::vector<Clause>& code);
+  std::uint32_t slot_of(const std::string& attribute);
+  /// Recompiles the rep and every checked set of `group`.
+  void compile_group(Group* group);
+  /// Starts a new event: every slot reads as unresolved.
+  void begin_event() const { ++epoch_; }
+  const SlotValue& resolve(std::uint32_t slot, const EventData& event) const;
+  bool run(const Group& group, const Program& program, const Predicate& predicate,
+           const EventData& event) const;
   void eval_group(const Group* group, const EventData& event,
                   std::vector<SubscriberId>& out, std::size_t& contributing,
                   bool& unsorted) const;
@@ -203,6 +259,12 @@ class SubscriptionIndex {
   std::unordered_map<std::string, Group*> by_canon_;
   std::unordered_map<const Group*, std::unique_ptr<Group>> groups_;
   mutable std::uint64_t evals_ = 0;
+  bool compiled_;
+  /// Interned attribute names (never freed; one per distinct name).
+  std::unordered_map<std::string, std::uint32_t> slot_ids_;
+  std::vector<std::string> slot_names_;
+  mutable std::vector<SlotValue> slot_values_;
+  mutable std::uint64_t epoch_ = 0;
 };
 
 }  // namespace gryphon::matching

@@ -64,6 +64,16 @@ void EventLoop::run_deferred() {
 void EventLoop::tick(SimDuration max_wait) {
   fire_due_timers();
   run_deferred();
+  // A batch often schedules a timer that is due by the time it ends (a
+  // SimDisk barrier completes 1 us after its transfer): run those now
+  // rather than pay a poll(timeout 0) for each, for a bounded number of
+  // rounds so a self-rescheduling timer cannot starve I/O.
+  for (int round = 0; round < kMaxTimerDrainRounds; ++round) {
+    const SimTime due = timers_.next_due();
+    if (due == sim::Simulator::kNoTaskDue || due > elapsed()) break;
+    fire_due_timers();
+    run_deferred();
+  }
 
   // Poll timeout: up to the next timer, rounded *up* so a due-in-200us
   // timer doesn't busy-spin at timeout 0 forever.

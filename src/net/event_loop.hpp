@@ -10,15 +10,16 @@
 // same thing under the simulator and under this loop.
 //
 // Each iteration: advance now_ to the wall clock, fire every timer that is
-// due, run the deferred tasks, then poll() with a timeout reaching exactly
-// to the next timer (or a bounded idle wait), then dispatch io callbacks and
-// run the deferred tasks again before returning. Connections defer their
-// socket writes this way, so every frame a connection queues within one
-// iteration leaves in one send(2). Timer tasks scheduled for
-// a past instant run on the next iteration — the loop never sleeps past a
-// due timer, but real time may overshoot one; schedule_at clamps to now
-// rather than asserting, because wall time, unlike sim time, moves on its
-// own.
+// due, run the deferred tasks, and repeat that while timers fell due during
+// the batch (at most kMaxTimerDrainRounds times); then poll() with a timeout
+// reaching exactly to the next timer (or a bounded idle wait), then dispatch
+// io callbacks and run the deferred tasks again before returning.
+// Connections defer their socket writes this way, so every frame a
+// connection queues within one iteration leaves in one send(2). Timer tasks
+// scheduled for a past instant run on the next iteration — the loop never
+// sleeps past a due timer, but real time may overshoot one; schedule_at
+// clamps to now rather than asserting, because wall time, unlike sim time,
+// moves on its own.
 //
 // Not thread-safe: everything — schedule, cancel, watch, dispatch — happens
 // on the loop thread, exactly like the simulator it substitutes for.
@@ -82,6 +83,9 @@ class EventLoop final : public sim::Scheduler {
 
   /// One poll + dispatch iteration with the given maximum wait.
   void tick(SimDuration max_wait);
+
+  /// Extra timer batches one iteration runs before it polls.
+  static constexpr int kMaxTimerDrainRounds = 4;
 
   /// Makes run()/run_for() return after the current iteration. Signal-safe
   /// only in the sense of setting a flag; call it from a callback or timer.

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "matching/event.hpp"
@@ -371,6 +372,159 @@ TEST(SubscriptionIndex, RangeTierAgreesUnderChurn) {
       ASSERT_EQ(scratch, expected) << "round " << round << " event" << shown;
       ASSERT_EQ(index.match(e), expected);
       ASSERT_EQ(index.matches_any(e), !expected.empty());
+    }
+  }
+}
+
+// Compiled clause arrays (DESIGN.md §4.8): a single-clause index must agree
+// with Compare::matches / Exists::matches for every op against int, double
+// and NaN constants, on int, double, NaN, infinite, string, bool and missing
+// event values.
+TEST(SubscriptionIndex, CompiledClausesFollowCompareSemantics) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> constants = {Value(2), Value(2.0), Value(2.5), Value(-0.0),
+                                        Value(nan)};
+  const std::vector<std::optional<Value>> values = {
+      std::nullopt, Value(2),   Value(2.0),  Value(2.5), Value(0),     Value(-0.0),
+      Value(nan),   Value(inf), Value(-inf), Value("2"), Value(true),  Value(false)};
+  std::vector<PredicatePtr> preds = {exists("x")};
+  for (const CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt, CompareOp::kLe,
+                             CompareOp::kGt, CompareOp::kGe}) {
+    for (const Value& c : constants) preds.push_back(compare("x", op, c));
+  }
+  for (const PredicatePtr& p : preds) {
+    SubscriptionIndex index;
+    index.add(SubscriberId{1}, p);
+    for (const auto& v : values) {
+      std::map<std::string, Value> attrs{{"other", Value(1)}};
+      if (v) attrs.emplace("x", *v);
+      const EventData e = make_event(std::move(attrs));
+      const bool expected = p->matches(e);
+      EXPECT_EQ(!index.match(e).empty(), expected)
+          << p->to_string() << " on x=" << (v ? (std::ostringstream() << *v).str() : "missing");
+      EXPECT_EQ(index.matches_any(e), expected) << p->to_string();
+    }
+  }
+}
+
+// `x == NaN` matches nothing and NaN != NaN: such a predicate must not be
+// filed under an equality bucket it could never be found in again.
+TEST(SubscriptionIndex, NanEqualityLeavesAndRejoinsCleanly) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SubscriptionIndex index;
+  index.add(SubscriberId{1}, compare("x", CompareOp::kEq, Value(nan)));
+  index.add(SubscriberId{2}, compare("x", CompareOp::kEq, Value(nan)));
+  index.add(SubscriberId{3}, p_and({compare("x", CompareOp::kEq, Value(nan)),
+                                    compare("y", CompareOp::kEq, Value(1))}));
+  EXPECT_TRUE(index.match(make_event({{"x", Value(nan)}, {"y", Value(1)}})).empty());
+  index.remove(SubscriberId{1});
+  index.remove(SubscriberId{2});
+  index.remove(SubscriberId{3});
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.group_count(), 0u);
+}
+
+// Churn property test for the compiled index: under seeded add / replace /
+// remove churn with oldest-biased removals (forcing promotions), an index
+// on compiled clause arrays must return what the brute-force scan of
+// Predicate::matches returns, and count exactly the candidate evaluations
+// of an index that evaluates every predicate through its tree
+// (SubscriptionIndex(false)) — the count feeds matching.match_candidates.
+// Populations mix compilable conjunctions (int, double and NaN constants,
+// exists) with the `||`, `!` and string/bool-constant fallbacks; events
+// carry int, double, NaN, string, bool and missing values.
+TEST(SubscriptionIndex, CompiledIndexAgreesWithTreePathUnderChurn) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(20261019);
+  const std::vector<CompareOp> ops = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                                      CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  const std::vector<Value> numeric = {Value(0), Value(1), Value(2), Value(3),
+                                      Value(1.0), Value(1.5), Value(2.0), Value(nan)};
+  const std::vector<std::string> attrs = {"a", "b", "c"};
+  auto attr = [&] { return attrs[rng.next_below(attrs.size())]; };
+  auto leaf = [&]() -> PredicatePtr {
+    const std::uint64_t k = rng.next_below(12);
+    if (k == 0) return exists(attr());
+    if (k == 1) return compare(attr(), ops[rng.next_below(ops.size())], Value("x"));
+    if (k == 2) return compare(attr(), CompareOp::kEq, Value(rng.next_bool(0.5)));
+    // Equality-heavy, so covering groups and buckets form.
+    const CompareOp op = k < 6 ? CompareOp::kEq : ops[rng.next_below(ops.size())];
+    return compare(attr(), op, numeric[rng.next_below(numeric.size())]);
+  };
+  auto random_predicate = [&]() -> PredicatePtr {
+    switch (rng.next_below(10)) {
+      case 0: return match_all();
+      case 1: return p_or({leaf(), leaf()});
+      case 2: return p_not(leaf());
+      case 3: return p_and({leaf(), p_and({leaf(), leaf()})});
+      case 4:
+      case 5:
+      case 6: return p_and({leaf(), leaf()});
+      default: return leaf();
+    }
+  };
+  const std::vector<Value> event_values = {Value(0),   Value(1),    Value(2),     Value(3),
+                                           Value(1.0), Value(1.5),  Value(2.0),   Value(nan),
+                                           Value("x"), Value(true), Value(false), Value(-0.0)};
+  auto random_event = [&] {
+    std::map<std::string, Value> m;
+    for (const std::string& a : attrs) {
+      const std::uint64_t pick = rng.next_below(event_values.size() + 2);
+      if (pick < event_values.size()) m.emplace(a, event_values[pick]);  // else missing
+    }
+    return make_event(std::move(m));
+  };
+
+  SubscriptionIndex compiled;
+  SubscriptionIndex tree(/*compiled=*/false);
+  std::map<SubscriberId, PredicatePtr> naive;
+  std::vector<SubscriberId> order;  // insertion order, for oldest-biased removal
+  std::uint32_t next_id = 1;
+  std::vector<SubscriberId> scratch;
+  for (int round = 0; round < 80; ++round) {
+    const std::uint64_t adds = 1 + rng.next_below(10);
+    for (std::uint64_t a = 0; a < adds; ++a) {
+      // Now and then replace a live subscription instead of adding one.
+      const bool replace = !order.empty() && rng.next_bool(0.1);
+      const SubscriberId id =
+          replace ? order[rng.next_below(order.size())] : SubscriberId{next_id++};
+      const PredicatePtr p = random_predicate();
+      compiled.add(id, p);
+      tree.add(id, p);
+      if (!replace) order.push_back(id);
+      naive[id] = p;
+    }
+    const std::uint64_t removes = rng.next_below(std::min<std::uint64_t>(6, order.size()));
+    for (std::uint64_t r = 0; r < removes; ++r) {
+      const std::size_t pick =
+          rng.next_bool(0.7) ? rng.next_below(std::max<std::size_t>(1, order.size() / 3))
+                             : rng.next_below(order.size());
+      const SubscriberId victim = order[pick];
+      compiled.remove(victim);
+      tree.remove(victim);
+      naive.erase(victim);
+      order.erase(order.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    ASSERT_EQ(compiled.size(), naive.size());
+    ASSERT_EQ(compiled.group_count(), tree.group_count());
+    for (int trial = 0; trial < 24; ++trial) {
+      const EventData e = random_event();
+      std::vector<SubscriberId> expected;
+      for (const auto& [id, p] : naive) {
+        if (p->matches(e)) expected.push_back(id);
+      }
+      std::string shown;
+      for (const auto& [a, value] : e.attributes()) {
+        shown += " " + a + "=" + (std::ostringstream() << value).str();
+      }
+      compiled.match_into(e, scratch);
+      ASSERT_EQ(scratch, expected) << "round " << round << " event" << shown;
+      ASSERT_EQ(tree.match(e), expected) << "round " << round << " event" << shown;
+      ASSERT_EQ(compiled.matches_any(e), !expected.empty()) << "event" << shown;
+      ASSERT_EQ(tree.matches_any(e), !expected.empty()) << "event" << shown;
+      ASSERT_EQ(compiled.candidates_evaluated(), tree.candidates_evaluated())
+          << "round " << round << " event" << shown;
     }
   }
 }

@@ -10,10 +10,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -237,6 +239,40 @@ TEST(EventLoop, PastDeadlineRunsImmediately) {
   loop.schedule_at(loop.now() - msec(5), [&] { fired = true; });
   loop.run_for(msec(50));
   EXPECT_TRUE(fired);
+}
+
+// Busy-waits `us` microseconds: the work a timer batch does after it
+// schedules a follow-up.
+void spin_us(int us) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(EventLoop, TimerFallingDueDuringABatchRunsWithoutAnExtraPoll) {
+  net::EventLoop loop;
+  std::uint64_t polls_seen = ~0ULL;
+  loop.schedule_after(0, [&] {
+    loop.schedule_after(1, [&] { polls_seen = loop.polls(); });
+    spin_us(20);
+  });
+  loop.tick(msec(1));
+  EXPECT_EQ(polls_seen, 0u);
+  EXPECT_EQ(loop.polls(), 1u);
+}
+
+TEST(EventLoop, TimerDrainIsBoundedSoIoStillPolls) {
+  net::EventLoop loop;
+  int runs = 0;
+  std::function<void()> again = [&] {
+    ++runs;
+    loop.schedule_after(1, again);
+    spin_us(5);
+  };
+  loop.schedule_after(0, again);
+  loop.tick(0);
+  EXPECT_EQ(loop.polls(), 1u);
+  EXPECT_LE(runs, net::EventLoop::kMaxTimerDrainRounds + 2);
 }
 
 TEST(EventLoop, FdReadinessDispatches) {

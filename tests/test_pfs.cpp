@@ -8,6 +8,7 @@
 #include "sim/simulator.hpp"
 #include "core/pfs.hpp"
 #include "core/sharding.hpp"
+#include "util/rng.hpp"
 
 namespace gryphon::core {
 namespace {
@@ -225,6 +226,117 @@ TEST_F(PfsFixture, ReadsReachedLastStatistic) {
   (void)read_sync(p1, SubscriberId{1}, 0, 3);    // truncated by buffer
   EXPECT_EQ(pfs.reads_issued(), 2u);
   EXPECT_EQ(pfs.reads_reached_last(), 1u);
+}
+
+// --------------------------------------- O(changed) metadata harvest
+
+/// Rows of `puts` in the pfs_sub (lastIndex) and pfs_meta tables.
+std::size_t sub_rows(const std::vector<storage::Database::Put>& puts) {
+  return static_cast<std::size_t>(std::count_if(
+      puts.begin(), puts.end(), [](const auto& put) { return put.table == "pfs_sub"; }));
+}
+std::size_t meta_rows(const std::vector<storage::Database::Put>& puts) {
+  return static_cast<std::size_t>(std::count_if(
+      puts.begin(), puts.end(), [](const auto& put) { return put.table == "pfs_meta"; }));
+}
+
+// N subscribers are hosted; later syncs touch M of them. Each harvest
+// carries the three meta rows plus only the lastIndex rows that changed
+// since the previous harvest, however many syncs it spans.
+TEST_F(PfsFixture, HarvestEmitsThreeMetaRowsPlusChangedRows) {
+  constexpr std::uint32_t kN = 40;
+  std::vector<SubscriberId> all;
+  for (std::uint32_t i = 1; i <= kN; ++i) all.push_back(SubscriberId{i});
+  const auto opened = pfs.dirty_metadata();  // open(): both pubends, no rows yet
+  EXPECT_EQ(meta_rows(opened), 6u);
+  EXPECT_EQ(sub_rows(opened), 0u);
+
+  pfs.append(p1, 10, all);
+  pfs.sync([] {});
+  sim.run_until_idle();
+  EXPECT_EQ(pfs.dirty_metadata().size(), 3 + kN);
+
+  // Two syncs touching subscribers 3..9 (M = 7), with repeats.
+  pfs.append(p1, 20, {SubscriberId{3}, SubscriberId{4}, SubscriberId{5}, SubscriberId{6}});
+  pfs.append(p1, 30, {SubscriberId{5}, SubscriberId{6}, SubscriberId{7}});
+  pfs.sync([] {});
+  sim.run_until_idle();
+  pfs.append(p1, 40, {SubscriberId{7}, SubscriberId{8}, SubscriberId{9}});
+  pfs.sync([] {});
+  sim.run_until_idle();
+  const auto puts = pfs.dirty_metadata();
+  EXPECT_EQ(meta_rows(puts), 3u);
+  EXPECT_EQ(sub_rows(puts), 7u);
+  EXPECT_TRUE(pfs.dirty_metadata().empty());
+
+  // Writes not yet covered by a completed sync stay out of the harvest.
+  pfs.append(p1, 50, {SubscriberId{1}});
+  EXPECT_TRUE(pfs.dirty_metadata().empty());
+}
+
+// The committed rows are the whole truth: a PFS reopened over the committed
+// database (plus the forward scan of a synced, uncommitted suffix) walks
+// the same back-pointer chains as the original, and its first harvest
+// re-emits every row.
+TEST_F(PfsFixture, ReopenedPfsReadsTheSameChainsAndReemitsEveryRow) {
+  constexpr std::uint32_t kN = 12;
+  Rng rng(7);
+  Tick t = 0;
+  auto append_some = [&](int records) {
+    for (int r = 0; r < records; ++r) {
+      std::vector<SubscriberId> matching;
+      for (std::uint32_t i = 1; i <= kN; ++i) {
+        if (rng.next_bool(0.3)) matching.push_back(SubscriberId{i});
+      }
+      t += 5;
+      if (!matching.empty()) pfs.append(p1, t, matching);
+    }
+    pfs.sync([] {});
+    sim.run_until_idle();
+  };
+  for (int round = 0; round < 4; ++round) {
+    append_some(10);
+    node.database.commit(0, pfs.dirty_metadata());
+    sim.run_until_idle();
+  }
+  append_some(6);  // synced, never committed: recovered by the forward scan
+  std::vector<std::vector<Tick>> chains;
+  for (std::uint32_t i = 1; i <= kN; ++i) {
+    chains.push_back(ticks(read_sync(p1, SubscriberId{i}, 0, 1000)));
+  }
+
+  node.crash();
+  node.restart();
+  PersistentFilteringSubsystem pfs2(node, costs);
+  pfs2.open({p1, p2});
+  EXPECT_EQ(pfs2.last_timestamp(p1), pfs.last_timestamp(p1));
+  for (std::uint32_t i = 1; i <= kN; ++i) {
+    PersistentFilteringSubsystem::ReadResult got;
+    pfs2.read(p1, SubscriberId{i}, 0, 1000,
+              [&](PersistentFilteringSubsystem::ReadResult r) { got = std::move(r); });
+    sim.run_until_idle();
+    EXPECT_EQ(ticks(got), chains[i - 1]) << "subscriber " << i;
+  }
+  const auto first = pfs2.dirty_metadata();
+  EXPECT_EQ(meta_rows(first), 6u);
+  EXPECT_EQ(sub_rows(first), std::size_t{kN});
+  EXPECT_TRUE(pfs2.dirty_metadata().empty());
+
+  // That harvest covers the scanned suffix too: committed, it alone must
+  // rebuild the same chains after a second crash.
+  node.database.commit(0, first);
+  sim.run_until_idle();
+  node.crash();
+  node.restart();
+  PersistentFilteringSubsystem pfs3(node, costs);
+  pfs3.open({p1, p2});
+  for (std::uint32_t i = 1; i <= kN; ++i) {
+    PersistentFilteringSubsystem::ReadResult got;
+    pfs3.read(p1, SubscriberId{i}, 0, 1000,
+              [&](PersistentFilteringSubsystem::ReadResult r) { got = std::move(r); });
+    sim.run_until_idle();
+    EXPECT_EQ(ticks(got), chains[i - 1]) << "subscriber " << i << " after two reopens";
+  }
 }
 
 // ------------------------------------------------- sharding (DESIGN.md §4.8)

@@ -14,7 +14,7 @@ FIRST_SEED="${2:-1}"
 HORIZON_S="${3:-10}"
 
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_net test_storage test_matching test_wire test_core_units test_failures gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m gryphon_report
+cmake --build --preset asan-ubsan -j "$(nproc)" --target test_chaos test_net test_storage test_matching test_wire test_core_units test_failures test_pfs test_pfs_imprecise gryphon_broker_cli bench_chaos_soak bench_wallclock bench_recovery_fuzz bench_churn_storm bench_scale_1m gryphon_report
 
 echo "== chaos test suite (asan-ubsan) =="
 ./build-asan/tests/test_chaos
@@ -23,16 +23,19 @@ echo "== chaos test suite (asan-ubsan) =="
 # FileBackend owns a long-lived WAL fd, the matcher's range tier is a
 # pointer-linked tree, the wire suite encodes every message kind into
 # pooled arenas and decodes every torn prefix and flipped byte of each
-# sample frame, and the core-unit and failure suites take the brokers'
-# child links through crash, restart and child-filter reload: run their
-# suites where the sanitizers can see misuse.
-echo "== socket, storage, matching, wire, core and failure suites (asan-ubsan) =="
+# sample frame, the core-unit and failure suites take the brokers'
+# child links through crash, restart and child-filter reload, and the PFS
+# suites hold node pointers into each shard's chain-head map across sync
+# captures: run their suites where the sanitizers can see misuse.
+echo "== socket, storage, matching, wire, core, failure and PFS suites (asan-ubsan) =="
 GRYPHON_BROKER_BIN=./build-asan/tools/gryphon_broker ./build-asan/tests/test_net
 ./build-asan/tests/test_storage
 ./build-asan/tests/test_matching
 ./build-asan/tests/test_wire
 ./build-asan/tests/test_core_units
 ./build-asan/tests/test_failures
+./build-asan/tests/test_pfs
+./build-asan/tests/test_pfs_imprecise
 
 echo "== substrate smoke (asan-ubsan): bench_wallclock 1 seed =="
 ./build-asan/bench/bench_wallclock --smoke
