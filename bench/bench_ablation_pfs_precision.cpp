@@ -11,7 +11,6 @@ namespace gryphon::bench {
 namespace {
 
 struct Result {
-  std::uint64_t pfs_records;
   std::uint64_t pfs_bytes;
   std::uint64_t catchup_served;  // positions served/inspected via the cache
   double catchup_seconds;
@@ -38,13 +37,14 @@ Result run(std::size_t batch) {
   system.run_for(sec(5));
   subs[0]->disconnect();
   system.run_for(sec(10));
-  const auto served_before = system.shb().stats().catchup_events_served_from_istream;
+  const auto* served =
+      system.shb_node().metrics.counter("shb.catchup_events_served_from_istream");
+  const auto served_before = served->get();
   subs[0]->connect();
   system.run_for(sec(30));
   system.verify_exactly_once();
 
-  return {system.shb().stats().pfs_records, system.shb().pfs().payload_bytes_written(),
-          system.shb().stats().catchup_events_served_from_istream - served_before,
+  return {system.shb().pfs().payload_bytes_written(), served->get() - served_before,
           catchup_s, system.oracle().delivered_count()};
 }
 

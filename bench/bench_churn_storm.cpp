@@ -18,19 +18,21 @@
 //                     [--out FILE]
 //
 // Defaults: 10 seeds x 5000 subscribers x 2 waves. The run fails (exit 1)
-// if any seed violates the quiescence oracle, if the sampled active-stream
-// peak ever exceeds the admission limit, if the queue never engaged (the
-// herd was not actually a herd), or if the PHB's live bytes blow past the
-// degradation bound. Seed `first_seed` runs twice and the two results must
-// be bit-identical. --smoke shrinks to 2 seeds x 400 subscribers x 1 wave:
-// the sanitizer entry point for tools/run_chaos.sh. --out writes a
-// bench-JSON snapshot (herd drain time, peak queue depth, peak live bytes,
-// gaps sent).
+// when a declared gate fails: a seed violates the quiescence oracle, the
+// sampled active-stream peak exceeds the admission limit, a herd does not
+// fully reconnect, the queue never engaged (the herd was not actually a
+// herd), the PHB's live bytes blow past the degradation bound, or the
+// catchup-wait p99 passes its ceiling. Seed `first_seed` runs twice and the
+// two results must be bit-identical. --smoke shrinks to 2 seeds x 400
+// subscribers x 1 wave: the sanitizer entry point for tools/run_chaos.sh.
+// --out writes the bench artifact (herd drain time, peak queue depth, peak
+// live bytes, gaps sent, gates).
 #include "bench/bench_common.hpp"
 
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 
 #include "core/release_policy.hpp"
 
@@ -262,10 +264,11 @@ int main(int argc, char** argv) {
                " waves (herd through a bounded admission gate; last seed composes an uplink "
                "partition across the reconnect)");
   print_row({"seed", "reconnects", "drain(s)", "peak_act", "peak_queue",
-             "peak_MB", "gaps", "wait_p99(s)", "verdict"}, 12);
+             "peak_MB", "gaps", "wait_p99(s)", "oracle"}, 12);
 
-  bool failed = false;
   StormResult first_seed_result;
+  int violated_seeds = 0;
+  std::uint64_t min_reconnects = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t total_gaps = 0;
   std::uint64_t total_queued = 0;
   SimDuration max_drain = 0;
@@ -293,57 +296,15 @@ int main(int argc, char** argv) {
     max_wait_p50 = std::max(max_wait_p50, r.wait_p50_ms);
     max_wait_p99 = std::max(max_wait_p99, r.wait_p99_ms);
 
-    std::string verdict = r.violated ? "VIOLATION" : "ok";
-    if (r.peak_active > admission_limit) verdict = "ADMISSION BREACH";
-    if (r.reconnects <
-        static_cast<std::uint64_t>(subscribers) * static_cast<std::uint64_t>(waves)) {
-      verdict = "HERD INCOMPLETE";
-    }
-    if (verdict != "ok") failed = true;
+    min_reconnects = std::min(min_reconnects, r.reconnects);
+    if (r.violated) ++violated_seeds;
+
     print_row({std::to_string(seed) + (composed ? "*" : ""),
                std::to_string(r.reconnects), fmt(to_seconds(r.drain_time), 2),
                std::to_string(r.peak_active), std::to_string(r.peak_queue_depth),
                fmt(static_cast<double>(r.peak_live_bytes) / (1 << 20), 2),
                std::to_string(r.gaps_sent), fmt(r.wait_p99_ms / 1000.0, 2),
-               verdict}, 12);
-  }
-
-  // Degradation bound: release chases Td with a 1 s floor, so live bytes are
-  // bounded by the high watermark plus the storm's unreleasable span — Td
-  // stalls while the herd's handshake burst saturates the SHB (plus the
-  // composed 3 s partition), at ~84 KiB/s of input. Anything past this bound
-  // means the log is tracking published bytes again, i.e. the policy stopped
-  // degrading. (NoEarlyRelease would pin ~4 MiB+ over the same run.)
-  const std::uint64_t live_bound = kHighWatermark + (2u << 20);
-  if (peak_live > live_bound) {
-    std::printf("DEGRADATION GAP: peak live bytes %llu exceed bound %llu — the "
-                "adaptive retain policy stopped holding the log down\n",
-                static_cast<unsigned long long>(peak_live),
-                static_cast<unsigned long long>(live_bound));
-    failed = true;
-  }
-  if (!smoke && total_queued == 0) {
-    std::printf("HERD GAP: no catchup stream was ever queued — the storm no "
-                "longer outnumbers the admission limit\n");
-    failed = true;
-  }
-
-  // Queue-wait tail guard: every queued stream's wait is measured (full
-  // trace sampling), so the max-over-seeds p99 is the storm's worst honest
-  // tail. In smoke mode the herd is small enough that waits are trivially
-  // short; the ceiling still applies. A zero sample count alongside queued
-  // streams means the wait histogram plumbing broke.
-  if (total_queued > 0 && total_wait_samples == 0) {
-    std::printf("WAIT HISTOGRAM GAP: %llu streams were queued but no "
-                "queued->admitted wait was recorded\n",
-                static_cast<unsigned long long>(total_queued));
-    failed = true;
-  }
-  if (max_wait_p99 > kWaitP99CeilingMs) {
-    std::printf("WAIT REGRESSION: catchup admission-queue wait p99 %.0f ms "
-                "exceeds the committed %.0f ms ceiling\n",
-                max_wait_p99, kWaitP99CeilingMs);
-    failed = true;
+               r.violated ? "VIOLATION" : "ok"}, 12);
   }
 
   // Same seed, same storm: the first seed replayed must be bit-identical.
@@ -352,11 +313,6 @@ int main(int argc, char** argv) {
   const StormResult replay = run_seed(first_seed, subscribers, waves,
                                       /*composed_partition=*/false,
                                       admission_limit);
-  if (!(replay == first_seed_result)) {
-    std::printf("DETERMINISM GAP: seed %llu replay diverged from its first run\n",
-                static_cast<unsigned long long>(first_seed));
-    failed = true;
-  }
 
   std::printf("\nmax herd drain %.2fs, peak active %zu (limit %zu), peak queue "
               "%zu, peak live %.2f MB, %llu gaps, %llu pressure-released ticks\n",
@@ -369,34 +325,60 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total_wait_samples), max_wait_p50,
               max_wait_p99, kWaitP99CeilingMs);
 
+  WorkloadReport report;
+  report.name = "churn_storm";
+  report.metrics = {
+      {"seeds", static_cast<double>(num_seeds)},
+      {"subscribers", static_cast<double>(subscribers)},
+      {"waves", static_cast<double>(waves)},
+      {"admission_limit", static_cast<double>(admission_limit)},
+      {"max_herd_drain_s", to_seconds(max_drain)},
+      {"peak_catchup_active", static_cast<double>(peak_active)},
+      {"peak_catchup_queue_depth", static_cast<double>(peak_queue)},
+      {"peak_pubend_live_bytes", static_cast<double>(peak_live)},
+      {"violated_seeds", static_cast<double>(violated_seeds)},
+      {"min_seed_reconnects", static_cast<double>(min_reconnects)},
+      {"replay_identical", replay == first_seed_result ? 1.0 : 0.0},
+  };
+  report.counters = {
+      {"shb.gaps_sent", static_cast<double>(total_gaps)},
+      {"shb.catchup_queued", static_cast<double>(total_queued)},
+      {"pubend.pressure_released_ticks", static_cast<double>(pressure_ticks)},
+  };
+  // Worst-seed percentiles: conservative for the committed ceiling.
+  report.latency = {
+      {"catchup_wait.count", static_cast<double>(total_wait_samples)},
+      {"catchup_wait.p50_ms", max_wait_p50},
+      {"catchup_wait.p99_ms", max_wait_p99},
+  };
+
+  report.gate("violated_seeds", "==", 0);
+  report.gate("peak_catchup_active", "<=", static_cast<double>(admission_limit));
+  // Every subscriber of every wave reconnected in every seed.
+  report.gate("min_seed_reconnects", ">=", static_cast<double>(subscribers) * waves);
+  // Degradation bound: release chases Td with a 1 s floor, so live bytes are
+  // bounded by the high watermark plus the storm's unreleasable span — Td
+  // stalls while the herd's handshake burst saturates the SHB (plus the
+  // composed 3 s partition), at ~84 KiB/s of input. Anything past this bound
+  // means the log is tracking published bytes again, i.e. the policy stopped
+  // degrading. (NoEarlyRelease would pin ~4 MiB+ over the same run.)
+  report.gate("peak_pubend_live_bytes", "<=",
+              static_cast<double>(kHighWatermark + (2u << 20)));
+  // A full-size storm must outnumber the admission limit, or the herd was
+  // not actually a herd.
+  if (!smoke) report.gate("shb.catchup_queued", ">", 0);
+  // Queue-wait tail: every queued stream's wait is measured (full trace
+  // sampling), so the max-over-seeds p99 is the storm's worst honest tail.
+  // In smoke mode the herd is small enough that waits are trivially short;
+  // the ceiling still applies. Queued streams with no recorded wait mean
+  // the wait histogram plumbing broke.
+  if (total_queued > 0) report.gate("catchup_wait.count", ">", 0);
+  report.gate("catchup_wait.p99_ms", "<=", kWaitP99CeilingMs);
+  report.gate("replay_identical", "==", 1);
+
   if (!out_path.empty()) {
-    WorkloadReport report;
-    report.name = "churn_storm";
-    report.variant = "run";
-    report.metrics = {
-        {"seeds", static_cast<double>(num_seeds)},
-        {"subscribers", static_cast<double>(subscribers)},
-        {"waves", static_cast<double>(waves)},
-        {"admission_limit", static_cast<double>(admission_limit)},
-        {"max_herd_drain_s", to_seconds(max_drain)},
-        {"peak_catchup_active", static_cast<double>(peak_active)},
-        {"peak_catchup_queue_depth", static_cast<double>(peak_queue)},
-        {"peak_pubend_live_bytes", static_cast<double>(peak_live)},
-    };
-    report.registry = {
-        {"shb.gaps_sent", static_cast<double>(total_gaps)},
-        {"shb.catchup_queued", static_cast<double>(total_queued)},
-        {"pubend.pressure_released_ticks", static_cast<double>(pressure_ticks)},
-    };
-    // Worst-seed percentiles: conservative for the committed ceiling.
-    report.latency = {
-        {"catchup_wait.count", static_cast<double>(total_wait_samples)},
-        {"catchup_wait.p50_ms", max_wait_p50},
-        {"catchup_wait.p99_ms", max_wait_p99},
-        {"catchup_wait.p99_ceiling_ms", kWaitP99CeilingMs},
-    };
     write_bench_json(out_path, {report});
     std::printf("wrote %s\n", out_path.c_str());
   }
-  return failed ? 1 : 0;
+  return gate_verdict({report});
 }

@@ -1,16 +1,21 @@
 // Shared scaffolding for the figure/table reproduction benchmarks: the
 // paper-default system configuration (§5's testbed translated through the
-// DESIGN.md §4 substitutions) and small table/series printers.
+// DESIGN.md §4 substitutions), small table/series printers, and the one
+// writer and gate rule of the BENCH_*.json artifacts.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include <sys/utsname.h>
+#include <unistd.h>
+
+#include "bench/bench_gate.hpp"
 #include "harness/system.hpp"
 #include "harness/workload.hpp"
 
@@ -56,45 +61,94 @@ inline std::string fmt(double v, int precision = 1) {
   return buf;
 }
 
-// --- wall-clock reporting (bench_wallclock / tools/run_bench.sh) ---------
+// --- bench artifacts (gryphon-bench-v2) ---------------------------------
 //
-// Minimal JSON emission for the substrate perf trajectory. The file format
-// is deliberately flat (one key per line) so the matching reader below can
-// stay a line scanner instead of a JSON parser: BENCH_substrate.json is our
-// own artifact, produced only by write_bench_json().
+// Every committed BENCH_*.json is one write_bench_json() file: host, build
+// type, and per workload its variant, reps, metrics, per-rep spread,
+// registry counters, latency percentiles, declared gates and
+// baseline-tolerance metrics. A bench declares gates on its reports and
+// exits through gate_verdict(); `gryphon_report --check-bench` re-checks
+// the file (README.md, Bench artifacts).
 
 struct BenchMetric {
   std::string name;
   double value;
 };
 
-/// One measured workload under one build variant ("pre_pr_baseline",
-/// "post_pr", ...). Variants let a single file carry the committed perf
-/// trajectory: baseline and current numbers side by side.
+/// Min and max of one metric over a workload's reps.
+struct MetricSpread {
+  std::string name;
+  double min;
+  double max;
+};
+
+/// `value op bound` must hold; `name` is the metrics/counters/latency key
+/// whose value the gate reads.
+struct BenchGate {
+  std::string name;
+  double value;
+  std::string op;
+  double bound;
+};
+
+/// One measured workload under one build variant ("run", "post_pr",
+/// "smoke", ...). The checker's baseline lookup prefers a committed post_pr
+/// variant over a run variant of the same workload.
 struct WorkloadReport {
   std::string name;
-  std::string variant;
+  std::string variant = "run";
+  int reps = 1;
   std::vector<BenchMetric> metrics;
-  /// Broker-internal registry counters (summed across nodes), emitted as a
-  /// nested "metrics" object so run_bench.sh can diff protocol-level
-  /// behaviour (e.g. gaps_sent creeping above zero) alongside throughput.
-  std::vector<BenchMetric> registry;
-  /// Per-stage latency percentiles (LatencyRecorder), emitted as a nested
-  /// "latency" object: <stage>.count / .p50_ms / .p99_ms / .p999_ms. Keeps
-  /// every perf PR accountable to tail latency, not just throughput.
+  std::vector<MetricSpread> spread;
+  /// Broker-internal registry counters (summed across nodes).
+  std::vector<BenchMetric> counters;
+  /// Per-stage latency percentiles (LatencyRecorder): <stage>.count /
+  /// .p50_ms / .p99_ms / .p999_ms.
   std::vector<BenchMetric> latency;
+  std::vector<BenchGate> gates;
+  /// Metrics checked against a committed artifact: metric -> tolerance.
+  std::vector<BenchMetric> baseline_tolerance;
 
-  [[nodiscard]] const BenchMetric* find(const std::string& metric) const {
-    for (const auto& m : metrics) {
-      if (m.name == metric) return &m;
+  /// The value of `key` in metrics, counters or latency; NaN when absent.
+  [[nodiscard]] double value(const std::string& key) const {
+    for (const auto* block : {&metrics, &counters, &latency}) {
+      for (const auto& m : *block) {
+        if (m.name == key) return m.value;
+      }
     }
-    return nullptr;
+    return std::nan("");
+  }
+
+  /// Declares the gate `value(key) op bound`.
+  void gate(const std::string& key, const std::string& op, double bound) {
+    gates.push_back({key, value(key), op, bound});
+  }
+
+  /// Records the min/max of `metric` over per-rep values.
+  void add_spread(const std::string& metric, const std::vector<double>& per_rep) {
+    const auto [lo, hi] = std::minmax_element(per_rep.begin(), per_rep.end());
+    spread.push_back({metric, *lo, *hi});
   }
 };
 
-/// Sums every node's registry counters into the report's nested `registry`
-/// block (probes refreshed first so storage totals are current). Counter
-/// names are per-node-unique, so the sum over nodes is the system total.
+/// Prints every declared gate's verdict; the bench's exit code.
+inline int gate_verdict(const std::vector<WorkloadReport>& reports) {
+  bool ok = true;
+  for (const auto& r : reports) {
+    for (const auto& g : r.gates) {
+      const bool holds = gate_holds(g.value, g.op, g.bound);
+      ok = ok && holds;
+      std::printf("gate %s %s: %g %s %g %s\n", r.name.c_str(), g.name.c_str(), g.value,
+                  g.op.c_str(), g.bound, holds ? "ok" : "FAILED");
+    }
+  }
+  std::printf(ok ? "all gates passed\n" : "GATE FAILURE\n");
+  return ok ? 0 : 1;
+}
+
+/// Sums every node's registry counters into the report's `counters` block
+/// (probes refreshed first so storage totals are current). Counter names are
+/// per-node-unique, so the sum over nodes is the system total.
 inline void attach_registry_metrics(WorkloadReport& report, harness::System& system) {
   std::map<std::string, double> sums;
   for (auto* node : system.nodes()) {
@@ -104,12 +158,12 @@ inline void attach_registry_metrics(WorkloadReport& report, harness::System& sys
           sums[name] += static_cast<double>(v);
         });
   }
-  for (const auto& [name, v] : sums) report.registry.push_back({name, v});
+  for (const auto& [name, v] : sums) report.counters.push_back({name, v});
 }
 
-/// Flattens the recorder's histograms into nested-"latency"-block metrics.
-/// Every stage is emitted (zero-count stages included) so the committed
-/// JSON's key set never shifts between runs.
+/// Flattens the recorder's histograms into `latency` block entries. Every
+/// stage is emitted (zero-count stages included) so the committed JSON's key
+/// set never shifts between runs.
 inline std::vector<BenchMetric> latency_percentile_metrics(
     const LatencyRecorder& recorder) {
   std::vector<BenchMetric> out;
@@ -126,95 +180,54 @@ inline std::vector<BenchMetric> latency_percentile_metrics(
   return out;
 }
 
+/// A JSON number; a value the run never produced is written as null.
+inline std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return buf;
+}
+
 inline void write_bench_json(const std::string& path,
                              const std::vector<WorkloadReport>& reports) {
   std::ofstream out(path);
   GRYPHON_CHECK_MSG(out.good(), "cannot write " << path);
-  out << "{\n  \"schema\": \"gryphon-substrate-bench-v1\",\n  \"workloads\": [\n";
+  // One `"key": {...}` block; `entry` writes each element's value.
+  const auto block = [&out](const char* key, const auto& items, auto&& entry) {
+    out << ",\n      \"" << key << "\": {";
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      out << (i == 0 ? "\n" : ",\n") << "        \"" << items[i].name << "\": ";
+      entry(items[i]);
+    }
+    out << (items.empty() ? "}" : "\n      }");
+  };
+  const auto number = [&out](const BenchMetric& m) { out << json_number(m.value); };
+
+  utsname host{};
+  uname(&host);
+  out << "{\n  \"schema\": \"gryphon-bench-v2\",\n  \"host\": {\"machine\": \""
+      << host.machine << "\", \"kernel\": \"" << host.release
+      << "\", \"nproc\": " << sysconf(_SC_NPROCESSORS_ONLN) << "},\n"
+      << "  \"build_type\": \"" << GRYPHON_BUILD_TYPE << "\",\n  \"workloads\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const auto& r = reports[i];
     out << "    {\n      \"name\": \"" << r.name << "\",\n      \"variant\": \""
-        << r.variant << "\"";
-    for (const auto& m : r.metrics) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.6g", m.value);
-      out << ",\n      \"" << m.name << "\": " << buf;
-    }
-    if (!r.registry.empty()) {
-      out << ",\n      \"metrics\": {";
-      for (std::size_t j = 0; j < r.registry.size(); ++j) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", r.registry[j].value);
-        out << (j == 0 ? "\n" : ",\n") << "        \"" << r.registry[j].name
-            << "\": " << buf;
-      }
-      out << "\n      }";
-    }
-    if (!r.latency.empty()) {
-      out << ",\n      \"latency\": {";
-      for (std::size_t j = 0; j < r.latency.size(); ++j) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", r.latency[j].value);
-        out << (j == 0 ? "\n" : ",\n") << "        \"" << r.latency[j].name
-            << "\": " << buf;
-      }
-      out << "\n      }";
-    }
+        << r.variant << "\",\n      \"reps\": " << r.reps;
+    block("metrics", r.metrics, number);
+    block("spread", r.spread, [&out](const MetricSpread& s) {
+      out << "{\"min\": " << json_number(s.min) << ", \"max\": " << json_number(s.max)
+          << "}";
+    });
+    block("counters", r.counters, number);
+    block("latency", r.latency, number);
+    block("gates", r.gates, [&out](const BenchGate& g) {
+      out << "{\"value\": " << json_number(g.value) << ", \"bound\": "
+          << json_number(g.bound) << ", \"op\": \"" << g.op << "\"}";
+    });
+    block("baseline_tolerance", r.baseline_tolerance, number);
     out << "\n    }" << (i + 1 < reports.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-}
-
-/// Reads one metric back out of a write_bench_json() file. Returns nullopt
-/// when the (workload, variant, metric) triple is absent.
-inline std::optional<double> read_bench_metric(const std::string& path,
-                                               const std::string& workload,
-                                               const std::string& variant,
-                                               const std::string& metric) {
-  std::ifstream in(path);
-  if (!in.good()) return std::nullopt;
-  auto quoted_value = [](const std::string& line) -> std::string {
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) return {};
-    const auto open = line.find('"', colon);
-    if (open == std::string::npos) return {};
-    const auto close = line.find('"', open + 1);
-    if (close == std::string::npos) return {};
-    return line.substr(open + 1, close - open - 1);
-  };
-  std::string line;
-  std::string cur_name;
-  std::string cur_variant;
-  while (std::getline(in, line)) {
-    // A bare "{" opens a new workload object. Keyed opens (e.g. the nested
-    // "metrics": { block) stay inside the current workload.
-    if (line.find('{') != std::string::npos &&
-        line.find('"') == std::string::npos) {
-      cur_name.clear();
-      cur_variant.clear();
-      continue;
-    }
-    if (line.find("\"name\"") != std::string::npos) cur_name = quoted_value(line);
-    if (line.find("\"variant\"") != std::string::npos) cur_variant = quoted_value(line);
-    const std::string key = '"' + metric + '"';
-    const auto pos = line.find(key);
-    if (pos == std::string::npos) continue;
-    if (cur_name != workload || cur_variant != variant) continue;
-    const auto colon = line.find(':', pos);
-    if (colon == std::string::npos) continue;
-    return std::strtod(line.c_str() + colon + 1, nullptr);
-  }
-  return std::nullopt;
-}
-
-/// Prints a (time, value) series as aligned columns.
-inline void print_series(const std::string& name,
-                         const std::vector<TimeSeries::Point>& points,
-                         double scale = 1.0, int precision = 1) {
-  std::printf("\n-- %s --\n%-12s%s\n", name.c_str(), "t(s)", "value");
-  for (const auto& p : points) {
-    std::printf("%-12.1f%.*f\n", to_seconds(p.time), precision, p.value * scale);
-  }
 }
 
 }  // namespace gryphon::bench

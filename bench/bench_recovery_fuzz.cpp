@@ -23,16 +23,17 @@
 // count then re-runs in codec mode — byte frames on every link, canonical
 // re-encode verified on every decode — with seeded frame corruption armed
 // on the broker chain across each crash window: the crash x frame-fault
-// cross product. The run fails (exit 1) if any seed violates the oracle,
-// and — unless --smoke — if not a single crash point produced a torn-tail
-// truncation, not a single re-crash landed inside a recovery window, or the
-// codec leg rejected no frames (any of which would mean the fuzzer stopped
-// reaching the interesting crash points, not that the engine got better).
+// cross product. A declared gate fails the run (exit 1) if any seed
+// violates the oracle, and — unless --smoke — if not a single crash point
+// produced a torn-tail truncation, not a single re-crash landed inside a
+// recovery window, or the codec leg rejected no frames (any of which would
+// mean the fuzzer stopped reaching the interesting crash points, not that
+// the engine got better).
 // --smoke runs 3 struct + 1 codec seeds with none of those requirements:
 // the sanitizer entry point for tools/run_chaos.sh.
 // --wal-dir runs every node's WAL on real files (FileBackend) under
 // DIR/seed<N>/ so the byte-level recovery path is exercised through the
-// filesystem; --out writes a bench-JSON snapshot whose metrics block carries
+// filesystem; --out writes the bench artifact whose counters block carries
 // the accumulated wal.* totals (wal.recovery_truncated_bytes > 0 is the
 // committed evidence that mid-frame tears were reached).
 #include "bench/bench_common.hpp"
@@ -287,43 +288,35 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(corrupted_frames),
               static_cast<unsigned long long>(decode_rejects), violations);
 
-  bool failed = violations > 0;
-  if (!smoke && torn_tails == 0) {
-    std::printf("FUZZ GAP: no crash point tore a WAL tail mid-frame — the fuzzer "
-                "is no longer reaching the interesting crash points\n");
-    failed = true;
-  }
-  if (!smoke && recovery_crashes == 0) {
-    std::printf("FUZZ GAP: no crash landed inside a recovery window — the "
-                "crash-during-recovery composition stopped firing\n");
-    failed = true;
-  }
-  if (!smoke && decode_rejects == 0) {
-    std::printf("FUZZ GAP: the codec leg rejected no frames — the crash x "
-                "frame-fault cross product stopped firing\n");
-    failed = true;
+  WorkloadReport report;
+  report.name = "recovery_fuzz";
+  report.metrics = {
+      {"seeds", static_cast<double>(num_seeds)},
+      {"codec_seeds", static_cast<double>(codec_seeds)},
+      {"crash_points", static_cast<double>(crash_points)},
+      {"recovery_crashes", static_cast<double>(recovery_crashes)},
+      {"oracle_violations", static_cast<double>(violations)},
+  };
+  report.counters = {
+      {"wal.recoveries", static_cast<double>(recoveries)},
+      {"wal.recovery_truncated_bytes", static_cast<double>(truncated_bytes)},
+      {"wal.torn_tail_recoveries", static_cast<double>(torn_tails)},
+      {"net.corrupted_frames", static_cast<double>(corrupted_frames)},
+      {"net.decode_rejects", static_cast<double>(decode_rejects)},
+  };
+  report.gate("oracle_violations", "==", 0);
+  if (!smoke) {
+    // The fuzzer must keep reaching the interesting crash points: a torn
+    // WAL tail mid-frame, a crash inside a recovery window, and a rejected
+    // frame in the crash x frame-fault cross product.
+    report.gate("wal.torn_tail_recoveries", ">", 0);
+    report.gate("recovery_crashes", ">", 0);
+    report.gate("net.decode_rejects", ">", 0);
   }
 
   if (!out_path.empty()) {
-    WorkloadReport report;
-    report.name = "recovery_fuzz";
-    report.variant = "run";
-    report.metrics = {
-        {"seeds", static_cast<double>(num_seeds)},
-        {"codec_seeds", static_cast<double>(codec_seeds)},
-        {"crash_points", static_cast<double>(crash_points)},
-        {"recovery_crashes", static_cast<double>(recovery_crashes)},
-        {"oracle_violations", static_cast<double>(violations)},
-    };
-    report.registry = {
-        {"wal.recoveries", static_cast<double>(recoveries)},
-        {"wal.recovery_truncated_bytes", static_cast<double>(truncated_bytes)},
-        {"wal.torn_tail_recoveries", static_cast<double>(torn_tails)},
-        {"net.corrupted_frames", static_cast<double>(corrupted_frames)},
-        {"net.decode_rejects", static_cast<double>(decode_rejects)},
-    };
     write_bench_json(out_path, {report});
     std::printf("wrote %s\n", out_path.c_str());
   }
-  return failed ? 1 : 0;
+  return gate_verdict({report});
 }

@@ -12,9 +12,9 @@
 //               driven as fast as the simulator can execute.
 //
 // Both legs run until N events are delivered exactly-once; the report is
-// wall-clock events/second for each, plus the ratio. The real leg also
-// asserts the demo oracle (received == published, zero gaps, zero decode /
-// reassembly rejects) — a bench run that loses an event is a failure, not a
+// wall-clock events/second for each. The real leg's demo oracle (received
+// == published, zero gaps, zero decode / reassembly rejects) is a set of
+// declared gates — a bench run that loses an event is a failure, not a
 // data point.
 //
 //   bench_sockets [--events N] [--out FILE] [--smoke]
@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <future>
 #include <string>
@@ -209,67 +208,47 @@ int run(std::uint64_t events, std::size_t payload_bytes, const std::string& out)
                std::to_string(events) + " events");
 
   const RealLeg real = run_real(events, payload_bytes);
+  const double real_eps = static_cast<double>(real.received) / real.wall_s;
   std::printf("real: %s in %.3fs (%.0f ev/s), gaps=%llu rejects=%llu/%llu\n",
-              real.completed ? "completed" : "INCOMPLETE", real.wall_s,
-              static_cast<double>(real.received) / real.wall_s,
+              real.completed ? "completed" : "INCOMPLETE", real.wall_s, real_eps,
               static_cast<unsigned long long>(real.gaps),
               static_cast<unsigned long long>(real.decode_rejects),
               static_cast<unsigned long long>(real.reassembly_rejects));
-  if (!real.completed || real.received != events || real.gaps != 0 ||
-      real.decode_rejects != 0 || real.reassembly_rejects != 0) {
-    std::fprintf(stderr, "FAIL: the socket leg broke the exactly-once oracle\n");
-    return 1;
-  }
 
   const SimLeg sim = run_sim(events, payload_bytes);
+  const double sim_eps = static_cast<double>(sim.delivered) / sim.wall_s;
   std::printf("sim:  %llu delivered in %.3fs wall / %.3fs simulated (%.0f ev/wall-s)\n",
               static_cast<unsigned long long>(sim.delivered), sim.wall_s,
-              sim.sim_s, static_cast<double>(sim.delivered) / sim.wall_s);
+              sim.sim_s, sim_eps);
 
-  const double real_eps = static_cast<double>(real.received) / real.wall_s;
-  const double sim_eps = static_cast<double>(sim.delivered) / sim.wall_s;
-  std::printf("real/sim wall throughput: %.2fx\n", real_eps / sim_eps);
-
-  char buf[1536];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\n"
-      "  \"schema\": \"gryphon-sockets-bench-v1\",\n"
-      "  \"workloads\": [\n"
-      "    {\n"
-      "      \"name\": \"sockets_vs_sim\",\n"
-      "      \"variant\": \"run\",\n"
-      "      \"events\": %llu,\n"
-      "      \"payload_bytes\": %zu,\n"
-      "      \"real\": {\n"
-      "        \"topology\": \"phb<-shb brokers + pub + sub, 4 threads, loopback TCP, FileBackend WALs\",\n"
-      "        \"wall_s\": %.3f,\n"
-      "        \"events_per_wall_s\": %.0f,\n"
-      "        \"gaps\": %llu,\n"
-      "        \"decode_rejects\": %llu,\n"
-      "        \"reassembly_rejects\": %llu\n"
-      "      },\n"
-      "      \"sim\": {\n"
-      "        \"topology\": \"phb<-shb System, paper publishers, 1 match-all subscriber\",\n"
-      "        \"wall_s\": %.3f,\n"
-      "        \"sim_s\": %.3f,\n"
-      "        \"events_per_wall_s\": %.0f\n"
-      "      },\n"
-      "      \"real_over_sim_wall_throughput\": %.3f\n"
-      "    }\n"
-      "  ]\n"
-      "}",
-      static_cast<unsigned long long>(events), payload_bytes, real.wall_s,
-      real_eps, static_cast<unsigned long long>(real.gaps),
-      static_cast<unsigned long long>(real.decode_rejects),
-      static_cast<unsigned long long>(real.reassembly_rejects), sim.wall_s,
-      sim.sim_s, sim_eps, real_eps / sim_eps);
+  WorkloadReport report;
+  report.name = "sockets_vs_sim";
+  report.metrics = {
+      {"events", static_cast<double>(events)},
+      {"payload_bytes", static_cast<double>(payload_bytes)},
+      {"real.completed", real.completed ? 1.0 : 0.0},
+      {"real.events_received", static_cast<double>(real.received)},
+      {"real.wall_s", real.wall_s},
+      {"real.events_per_wall_s", real_eps},
+      {"real.gaps", static_cast<double>(real.gaps)},
+      {"real.decode_rejects", static_cast<double>(real.decode_rejects)},
+      {"real.reassembly_rejects", static_cast<double>(real.reassembly_rejects)},
+      {"sim.wall_s", sim.wall_s},
+      {"sim.sim_s", sim.sim_s},
+      {"sim.events_per_wall_s", sim_eps},
+  };
+  // The socket leg's exactly-once oracle: a run that loses an event is a
+  // failure, not a data point.
+  report.gate("real.completed", "==", 1);
+  report.gate("real.events_received", "==", static_cast<double>(events));
+  report.gate("real.gaps", "==", 0);
+  report.gate("real.decode_rejects", "==", 0);
+  report.gate("real.reassembly_rejects", "==", 0);
   if (!out.empty()) {
-    std::ofstream f(out, std::ios::trunc);
-    f << buf << "\n";
+    write_bench_json(out, {report});
     std::printf("wrote %s\n", out.c_str());
   }
-  return 0;
+  return gate_verdict({report});
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tunable timing and CPU-cost parameters of the broker network.
+// Protocol timing constants and the tunable CPU-cost parameters of the broker network.
 //
 // The cost model is the hardware-substitution layer (DESIGN.md §4): per-op
 // CPU charges are calibrated so that one 6-core SHB saturates around 20K
@@ -8,9 +8,47 @@
 
 #include <cstddef>
 
+#include "core/backoff.hpp"
 #include "util/time.hpp"
 
 namespace gryphon::core {
+
+// --- protocol timers (fixed by the protocol, not per deployment) ---
+/// Pubend announces silence up to T(p) at this interval when idle.
+inline constexpr SimDuration kSilenceInterval = msec(100);
+/// Curiosity: how long a Q gap may stall the doubt horizon before nacking.
+inline constexpr SimDuration kNackTimeout = msec(100);
+/// Re-nack outstanding ranges that received no response: retry k waits
+/// min(base * multiplier^k, max), scaled by a deterministic jitter factor in
+/// [1 - jitter, 1 + jitter) hashed from (broker, stream, attempt) — no
+/// shared RNG, so retry timing is replayable. Any response progress resets
+/// k to 0, so a live-but-slow upstream sees the base period while a severed
+/// one is probed ever more gently up to the cap. The intermediate broker
+/// re-sends its consolidated nacks every `base`.
+inline constexpr Backoff kNackRetry{
+    .base = msec(1000), .max = sec(4), .multiplier = 2.0, .jitter = 0.2};
+/// Brokers push (released, latestDelivered) mins upstream at this period.
+inline constexpr SimDuration kReleaseUpdateInterval = msec(250);
+/// SHB commits dirty released(s,p) / latestDelivered(p) rows (paper: 250ms).
+inline constexpr SimDuration kDbCommitInterval = msec(250);
+/// SHB sends a silence message to a subscriber idle for this long.
+inline constexpr SimDuration kSubscriberSilenceAfter = msec(500);
+
+// --- PFS ---
+/// Force a PFS log sync after this many appended records (paper: 200).
+inline constexpr std::size_t kPfsSyncEveryRecords = 200;
+/// ... or after this long with unsynced records, whichever first.
+inline constexpr SimDuration kPfsSyncInterval = msec(1000);
+/// Batch-read buffer capacity in Q ticks (paper §5.3: 5000).
+inline constexpr std::size_t kPfsReadBufferQTicks = 5000;
+
+// --- catch-up pacing ---
+/// How long a token-starved catchup stream waits before pumping again.
+inline constexpr SimDuration kCatchupPumpInterval = msec(50);
+/// Congestion control [14]: stop pumping catchup positions while the SHB
+/// CPU is this far behind, so catchup consumes spare capacity instead of
+/// inflating an unbounded delivery backlog.
+inline constexpr SimDuration kCatchupBackpressureBacklog = msec(200);
 
 struct CostModel {
   // --- CPU costs (total work; the Cpu divides by its core count) ---
@@ -37,37 +75,7 @@ struct CostModel {
   /// Any small control message (acks, release updates, connects).
   SimDuration control_process = usec(60);
 
-  // --- protocol timers ---
-  /// Pubend announces silence up to T(p) at this interval when idle.
-  SimDuration silence_interval = msec(100);
-  /// Curiosity: how long a Q gap may stall the doubt horizon before nacking.
-  SimDuration nack_timeout = msec(100);
-  /// Re-nack outstanding ranges that received no response: base delay of the
-  /// per-stream retry backoff (retry k waits min(nack_retry *
-  /// nack_retry_multiplier^k, nack_retry_max), scaled by a deterministic
-  /// jitter factor in [1 - nack_retry_jitter, 1 + nack_retry_jitter) hashed
-  /// from (broker, stream, attempt) — no shared RNG, so retry timing is
-  /// replayable). Any response progress resets k to 0, so a live-but-slow
-  /// upstream sees the base period while a severed one is probed ever more
-  /// gently up to the cap.
-  SimDuration nack_retry = msec(1000);
-  SimDuration nack_retry_max = sec(4);
-  double nack_retry_multiplier = 2.0;
-  double nack_retry_jitter = 0.2;
-  /// Brokers push (released, latestDelivered) mins upstream at this period.
-  SimDuration release_update_interval = msec(250);
-  /// SHB commits dirty released(s,p) / latestDelivered(p) rows (paper: 250ms).
-  SimDuration db_commit_interval = msec(250);
-  /// SHB sends a silence message to a subscriber idle for this long.
-  SimDuration subscriber_silence_after = msec(500);
-
   // --- PFS ---
-  /// Force a PFS log sync after this many appended records (paper: 200).
-  std::size_t pfs_sync_every_records = 200;
-  /// ... or after this long with unsynced records, whichever first.
-  SimDuration pfs_sync_interval = msec(1000);
-  /// Batch-read buffer capacity in Q ticks (paper §5.3: 5000).
-  std::size_t pfs_read_buffer_q_ticks = 5000;
   /// PFS precision (paper §4.2): 1 = precise (one record per matched tick,
   /// the paper's implementation); > 1 coalesces that many matched ticks
   /// into one range record with the union of subscriber lists — cheaper
@@ -82,14 +90,8 @@ struct CostModel {
   /// clients are not overwhelmed. With the paper's 200 ev/s live rate this
   /// yields the observed 5-6s catchup after a 5s disconnection.
   double catchup_rate_limit_eps = 380.0;
-  /// How long a token-starved catchup stream waits before pumping again.
-  SimDuration catchup_pump_interval = msec(50);
-  /// Congestion control [14]: stop pumping catchup positions while the SHB
-  /// CPU is this far behind, so catchup consumes spare capacity instead of
-  /// inflating an unbounded delivery backlog.
-  SimDuration catchup_backpressure_backlog = msec(200);
   /// Max nacked ticks per nack-timer firing for the SHB istream. Together
-  /// with nack_timeout this paces constream recovery: 500 ticks / 100 ms =
+  /// with kNackTimeout this paces constream recovery: 500 ticks / 100 ms =
   /// the paper's ~5x latestDelivered slope during post-crash recovery.
   Tick istream_nack_window = 500;
   /// Intermediate brokers / SHB istreams cache this many trailing ticks of

@@ -29,7 +29,7 @@ void IntermediateBroker::start(bool fresh) {
 
   // Retry unanswered consolidated nacks (covers a parent restart losing
   // pending-nack state).
-  every(config_.costs.nack_retry, [this] {
+  every(kNackRetry.base, [this] {
     for (auto& [p, state] : pubends_) {
       if (state.upstream_pending.empty()) continue;
       send(parent_, std::make_shared<NackMsg>(p, state.upstream_pending.ranges()));
@@ -38,7 +38,7 @@ void IntermediateBroker::start(bool fresh) {
   });
 
   // Release aggregation upstream.
-  every(config_.costs.release_update_interval, [this] { send_release_mins(); });
+  every(kReleaseUpdateInterval, [this] { send_release_mins(); });
 }
 
 void IntermediateBroker::recover() {

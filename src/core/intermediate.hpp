@@ -34,11 +34,6 @@ class IntermediateBroker final : public Broker {
   /// Restart path: reload child subscription filters; cache starts cold.
   void recover();
 
-  [[nodiscard]] Tick cache_head(PubendId p) const { return per(p).cache.head(); }
-  [[nodiscard]] std::size_t cached_events(PubendId p) const {
-    return per(p).cache.retained_events();
-  }
-
  protected:
   void handle(sim::EndpointId from, const Msg& msg) override;
   [[nodiscard]] SimDuration cost_of(const Msg& msg) const override;

@@ -55,7 +55,7 @@ void PublisherHostingBroker::add_child(sim::EndpointId child) {
 void PublisherHostingBroker::start() {
   // Silence generation: keeps every downstream doubt horizon advancing at
   // ~wall-clock rate even when no events are published.
-  every(config_.costs.silence_interval, [this] {
+  every(kSilenceInterval, [this] {
     for (auto& [p, pe] : pubends_) {
       if (auto region = pe->announce_silence(now())) {
         downstream_.fanout(p, pe->ticks().items(region->from, region->to));
@@ -64,7 +64,7 @@ void PublisherHostingBroker::start() {
   });
   // Release application. The policy first observes the event-log live bytes
   // so AdaptiveRetainPolicy can squeeze retention under storage pressure.
-  every(config_.costs.release_update_interval, [this] {
+  every(kReleaseUpdateInterval, [this] {
     policy_->observe_live_bytes(res_.log_volume.wal().live_bytes());
     for (auto& [p, pe] : pubends_) {
       refresh_release_mins(p);

@@ -212,15 +212,15 @@ void SubscriberHostingBroker::recover() {
 }
 
 void SubscriberHostingBroker::start_timers() {
-  every(config_.costs.nack_timeout, [this] { nack_istream_gaps(); });
+  every(kNackTimeout, [this] { nack_istream_gaps(); });
   // There is deliberately no fixed-period nack retransmission timer here:
   // unanswered curiosity is re-sent by the per-stream exponential backoff
   // (schedule_*_retry), so a severed upstream is probed ever more gently
   // instead of being hammered by every straggler at the same frequency.
-  every(config_.costs.release_update_interval, [this] { send_release_updates(); });
-  every(config_.costs.db_commit_interval, [this] { commit_dirty_state(); });
-  every(config_.costs.subscriber_silence_after, [this] { silence_sweep(); });
-  every(config_.costs.pfs_sync_interval, [this] {
+  every(kReleaseUpdateInterval, [this] { send_release_updates(); });
+  every(kDbCommitInterval, [this] { commit_dirty_state(); });
+  every(kSubscriberSilenceAfter, [this] { silence_sweep(); });
+  every(kPfsSyncInterval, [this] {
     if (pfs_unsynced_ > 0) request_pfs_sync();
   });
 }
@@ -365,7 +365,6 @@ void SubscriberHostingBroker::advance_constream(PubendId p) {
           pfs_.append(p, t, matches);
           state.pending_pfs.push_back(t);
           ++pfs_unsynced_;
-          ++stats_.pfs_records;
         }
         // Parked subscribers got their PFS entry above; delivery looks up
         // only the connected sessions.
@@ -396,12 +395,11 @@ void SubscriberHostingBroker::advance_constream(PubendId p) {
         SubscriberState& s = *c->second;
         if (s.session != d.session) continue;
         deliver_to_subscriber(s, p, d.tick, d.event, /*catchup=*/false);
-        ++stats_.constream_deliveries;
       }
     });
   }
 
-  if (pfs_unsynced_ >= config_.costs.pfs_sync_every_records) request_pfs_sync();
+  if (pfs_unsynced_ >= kPfsSyncEveryRecords) request_pfs_sync();
   update_latest_delivered(state);
 
   // Trim the istream cache: nothing below what every consumer has passed is
@@ -439,7 +437,7 @@ void SubscriberHostingBroker::request_pfs_sync() {
       }
       update_latest_delivered(state);
     }
-    if (pfs_unsynced_ >= config_.costs.pfs_sync_every_records) request_pfs_sync();
+    if (pfs_unsynced_ >= kPfsSyncEveryRecords) request_pfs_sync();
   }));
 }
 
@@ -834,7 +832,7 @@ void SubscriberHostingBroker::issue_pfs_read(SubscriberState& s, PubendId p) {
   const Tick from_at_issue = cs.pfs_read_from;
   const std::uint64_t session = s.session;
   pfs_.read(
-      p, s.id, cs.pfs_read_from, config_.costs.pfs_read_buffer_q_ticks,
+      p, s.id, cs.pfs_read_from, kPfsReadBufferQTicks,
       guarded_fn([this, sid = s.id, p, session, processed_at_issue, from_at_issue](
                   PersistentFilteringSubsystem::ReadResult result) {
         SubscriberState* found = try_sub(sid);
@@ -907,7 +905,6 @@ std::vector<TickRange> SubscriberHostingBroker::fill_catchup_from_istream(
           cs.map.set_data(item.range.from, item.event);
           s.catchup_tokens -= 1.0;
           ++served;
-          ++stats_.catchup_events_served_from_istream;
           m_catchup_istream_serves_->inc();
         } else {
           cs.map.set_silence(item.range.from, item.range.to);
@@ -949,7 +946,6 @@ void SubscriberHostingBroker::consolidate_nack(PubendId p, PerPubend& state,
     }
   }
   if (!forward.empty()) {
-    ++stats_.nacks_sent_upstream;
     m_nacks_upstream_->inc();
     send(parent_, std::make_shared<NackMsg>(p, std::move(forward)));
     schedule_istream_nack_retry(p);
@@ -960,10 +956,7 @@ void SubscriberHostingBroker::consolidate_nack(PubendId p, PerPubend& state,
 
 SimDuration SubscriberHostingBroker::nack_backoff_delay(std::uint64_t salt,
                                                         std::uint32_t attempt) const {
-  const auto& c = config_.costs;
-  const Backoff nack{c.nack_retry, c.nack_retry_max, c.nack_retry_multiplier,
-                     c.nack_retry_jitter};
-  return backoff_delay(nack, res_.endpoint, salt, attempt);
+  return backoff_delay(kNackRetry, res_.endpoint, salt, attempt);
 }
 
 void SubscriberHostingBroker::schedule_catchup_nack_retry(SubscriberState& s,
@@ -995,7 +988,6 @@ void SubscriberHostingBroker::schedule_catchup_nack_retry(SubscriberState& s,
             // pending-nack state): re-send everything outstanding, wait
             // longer next time.
             ++cs2.nack_attempt;
-            ++stats_.nacks_sent_upstream;
             m_nacks_upstream_->inc();
             send(parent_, std::make_shared<NackMsg>(p, cs2.outstanding.ranges(),
                                                     /*authoritative=*/cs2.refilter));
@@ -1021,7 +1013,6 @@ void SubscriberHostingBroker::schedule_istream_nack_retry(PubendId p) {
             st.nack_attempt = 0;
           } else {
             ++st.nack_attempt;
-            ++stats_.nacks_sent_upstream;
             m_nacks_upstream_->inc();
             send(parent_, std::make_shared<NackMsg>(p, st.upstream_pending.ranges()));
           }
@@ -1062,8 +1053,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
   // Congestion control: when the broker is saturated, let the backlog drain
   // before taking on more catchup work (tokens keep accruing meanwhile, so
   // this only reshapes the schedule, never the budget).
-  const bool congested =
-      res_.cpu.backlog() > config_.costs.catchup_backpressure_backlog;
+  const bool congested = res_.cpu.backlog() > kCatchupBackpressureBacklog;
 
   // Client flow control: refill the subscriber's token bucket (shared by
   // all of its catchup streams), then pump at most that many missed-event
@@ -1103,8 +1093,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
     if (!to_request.empty()) {
       // Straight to the pubend: intermediate caches may hold silence that
       // predates this subscriber's filter.
-      ++stats_.nacks_sent_upstream;
-    m_nacks_upstream_->inc();
+      m_nacks_upstream_->inc();
       send(parent_, std::make_shared<NackMsg>(p, to_request.ranges(),
                                               /*authoritative=*/true));
       schedule_catchup_nack_retry(s, p);
@@ -1114,7 +1103,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
         cit2 != s.catchup.end() && !cit2->second->repump_scheduled &&
         cit2->second->scan_cursor < state.processed_upto) {
       cit2->second->repump_scheduled = true;
-      defer(config_.costs.catchup_pump_interval,
+      defer(kCatchupPumpInterval,
             [this, sid = s.id, session = s.session, p] {
               SubscriberState* found = try_sub(sid);
               if (found == nullptr || found->session != session) return;
@@ -1145,8 +1134,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
           cs.map.set_silence(t, t);  // imprecise PFS record
         }
         ++served;
-        ++stats_.catchup_events_served_from_istream;
-          m_catchup_istream_serves_->inc();
+        m_catchup_istream_serves_->inc();
         break;
       }
       case routing::TickValue::kS:
@@ -1176,7 +1164,7 @@ void SubscriberHostingBroker::pump_catchup_nacks(SubscriberState& s, PubendId p)
       cit2 != s.catchup.end() && !cit2->second->unnacked_q.empty() &&
       !cit2->second->repump_scheduled) {
     cit2->second->repump_scheduled = true;
-    defer(config_.costs.catchup_pump_interval,
+    defer(kCatchupPumpInterval,
           [this, sid = s.id, session = s.session, p] {
             SubscriberState* found = try_sub(sid);
             if (found == nullptr || found->session != session) return;
@@ -1278,8 +1266,7 @@ void SubscriberHostingBroker::advance_catchup(SubscriberState& s, PubendId p) {
     cs.delivered_upto = dh;
     if (n_events > 0 || !batch.empty()) {
       cs.last_silence = dh;
-    } else if (dh - cs.last_silence >=
-               config_.costs.subscriber_silence_after / 1000) {
+    } else if (dh - cs.last_silence >= kSubscriberSilenceAfter / 1000) {
       batch.push_back({OutMsg::Kind::kSilence, dh, {}, nullptr});
       cs.last_silence = dh;
     }
@@ -1296,18 +1283,15 @@ void SubscriberHostingBroker::advance_catchup(SubscriberState& s, PubendId p) {
           switch (m.kind) {
             case OutMsg::Kind::kEvent:
               deliver_to_subscriber(s2, p, m.tick, m.event, /*catchup=*/true);
-              ++stats_.catchup_deliveries;
               break;
             case OutMsg::Kind::kGap:
               send(s2.client, std::make_shared<GapDeliveryMsg>(s2.id, p, m.range));
-              ++stats_.gaps_sent;
               m_gaps_->inc();
               res_.tracer.record_range(now(), p.value(), m.range.from, m.range.to,
                                        TraceMilestone::kGap, s2.id.value());
               break;
             case OutMsg::Kind::kSilence:
               send(s2.client, std::make_shared<SilenceDeliveryMsg>(s2.id, p, m.tick));
-              ++stats_.silences_sent;
               m_silences_->inc();
               break;
           }
@@ -1382,7 +1366,6 @@ void SubscriberHostingBroker::maybe_switchover(SubscriberState& s, PubendId p) {
       if (!s2.connected || s2.session != session) return;
       for (const auto& d : bridge) {
         deliver_to_subscriber(s2, p, d.tick, d.event, /*catchup=*/true);
-        ++stats_.catchup_deliveries;
       }
     });
   }
@@ -1392,7 +1375,6 @@ void SubscriberHostingBroker::maybe_switchover(SubscriberState& s, PubendId p) {
 void SubscriberHostingBroker::check_all_caught_up(SubscriberState& s) {
   if (!s.catchup.empty()) return;
   GRYPHON_LOG(kInfo, res_.name, "subscriber " << s.id << " caught up on all pubends");
-  ++stats_.catchup_completions;
   m_catchup_completions_->inc();
   if (on_catchup_complete) on_catchup_complete(s.id, s.reconnect_time, now());
 }
@@ -1414,7 +1396,6 @@ void SubscriberHostingBroker::nack_istream_gaps() {
       }
     }
     if (!forward.empty()) {
-      ++stats_.nacks_sent_upstream;
       m_nacks_upstream_->inc();
       send(parent_, std::make_shared<NackMsg>(p, std::move(forward)));
       schedule_istream_nack_retry(p);
@@ -1457,7 +1438,7 @@ void SubscriberHostingBroker::silence_sweep() {
   // of every durable subscription.
   for (auto& [sid, state] : connected_) {
     SubscriberState& s = *state;
-    if (now() - s.last_delivery < config_.costs.subscriber_silence_after) continue;
+    if (now() - s.last_delivery < kSubscriberSilenceAfter) continue;
     for (PubendId p : pubend_ids_) {
       if (s.catchup.contains(p)) continue;  // the catchup stream handles it
       const Tick upto = per(p).processed_upto;
@@ -1487,7 +1468,6 @@ void SubscriberHostingBroker::silence_sweep() {
                  if (!s2.connected || s2.session != session) return;
                  if (s2.catchup.contains(p)) return;
                  send(s2.client, std::make_shared<SilenceDeliveryMsg>(sid2, p, upto));
-                 ++stats_.silences_sent;
                  m_silences_->inc();
                });
     }

@@ -63,18 +63,6 @@ class SubscriberHostingBroker final : public Broker {
   [[nodiscard]] std::size_t catchup_queue_depth() const { return catchup_queued_; }
   [[nodiscard]] PersistentFilteringSubsystem& pfs() { return pfs_; }
 
-  struct Stats {
-    std::uint64_t constream_deliveries = 0;
-    std::uint64_t catchup_deliveries = 0;
-    std::uint64_t silences_sent = 0;
-    std::uint64_t gaps_sent = 0;
-    std::uint64_t pfs_records = 0;
-    std::uint64_t catchup_completions = 0;
-    std::uint64_t nacks_sent_upstream = 0;
-    std::uint64_t catchup_events_served_from_istream = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
   /// Fired when a subscriber leaves catchup mode for all pubends:
   /// (subscriber, reconnect time, completion time).
   std::function<void(SubscriberId, SimTime, SimTime)> on_catchup_complete;
@@ -279,7 +267,6 @@ class SubscriberHostingBroker final : public Broker {
   std::map<PubendId, Tick> committed_ld_;  // last DB-committed latestDelivered
   std::set<std::pair<SubscriberId, PubendId>> dirty_released_;
   std::map<SubscriberId, PendingSetup> pending_setups_;
-  Stats stats_;
 
   // Catchup admission control: bounded active streams + FIFO pending queue.
   // Queue entries are validated lazily against (subscriber, session) — a

@@ -98,7 +98,6 @@ std::shared_ptr<const sim::FrameMessage> FrameReassembler::next() {
     std::vector<std::byte> copy(p, p + total);
     head_ += total;
     compact();
-    ++frames_;
     return std::make_shared<sim::FrameMessage>(std::move(copy));
   }
 }

@@ -53,8 +53,6 @@ class FrameReassembler {
   /// way are consumed and counted, never returned.
   [[nodiscard]] std::shared_ptr<const sim::FrameMessage> next();
 
-  /// Complete frames emitted so far.
-  [[nodiscard]] std::uint64_t frames() const { return frames_; }
   /// Corrupt frames / garbage runs consumed so far.
   [[nodiscard]] std::uint64_t rejects() const { return rejects_; }
   /// Bytes buffered but not yet consumed (a torn tail when the peer closed).
@@ -74,7 +72,6 @@ class FrameReassembler {
   std::vector<std::byte> buf_;
   std::size_t head_ = 0;        // consumed prefix of buf_
   bool in_garbage_run_ = false;  // reject already charged for current run
-  std::uint64_t frames_ = 0;
   std::uint64_t rejects_ = 0;
 };
 

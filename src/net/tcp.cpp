@@ -196,7 +196,6 @@ bool Connection::write_out() {
                              MSG_NOSIGNAL);
     if (n > 0) {
       out_head_ += static_cast<std::size_t>(n);
-      bytes_out_ += static_cast<std::uint64_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -225,8 +224,6 @@ void Connection::on_events(std::uint32_t events) {
     }
     connecting_ = false;
     update_interest();
-    if (on_connected_ != nullptr) on_connected_();
-    if (guard.use_count() == 1 || fd_ < 0) return;
     flush();
     update_interest();
     return;
@@ -259,7 +256,6 @@ void Connection::handle_readable(const std::shared_ptr<const char>& guard) {
       fail(std::string("recv: ") + ::strerror(errno));
       return;
     }
-    bytes_in_ += static_cast<std::uint64_t>(n);
     // A short read drained the socket: stop here rather than spend one more
     // recv(2) on EAGAIN (poll reports anything that arrives meanwhile).
     drained = static_cast<std::size_t>(n) < sizeof buf;

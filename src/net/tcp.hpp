@@ -70,8 +70,6 @@ class Connection {
   /// connect). The fd is already closed; the owner usually destroys the
   /// Connection from here (safe).
   using CloseHandler = std::function<void(const std::string& reason)>;
-  /// Nonblocking connect completion (dialer side), success already checked.
-  using ConnectHandler = std::function<void()>;
 
   /// Adopts a socket. `connecting` = a tcp_connect_start fd whose handshake
   /// may still be in flight.
@@ -84,7 +82,6 @@ class Connection {
   void set_on_line(LineHandler h) { on_line_ = std::move(h); }
   void set_on_frame(FrameHandler h) { on_frame_ = std::move(h); }
   void set_on_close(CloseHandler h) { on_close_ = std::move(h); }
-  void set_on_connected(ConnectHandler h) { on_connected_ = std::move(h); }
 
   /// Begins watching the socket. Handlers must be set first.
   void start();
@@ -107,9 +104,6 @@ class Connection {
 
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   [[nodiscard]] const std::string& label() const { return label_; }
-  [[nodiscard]] std::uint64_t bytes_in() const { return bytes_in_; }
-  [[nodiscard]] std::uint64_t bytes_out() const { return bytes_out_; }
-  [[nodiscard]] std::uint64_t frames_in() const { return reassembler_.frames(); }
   [[nodiscard]] std::uint64_t reassembly_rejects() const {
     return reassembler_.rejects();
   }
@@ -135,12 +129,9 @@ class Connection {
   LineHandler on_line_;
   FrameHandler on_frame_;
   CloseHandler on_close_;
-  ConnectHandler on_connected_;
   std::vector<std::byte> outbox_;
   std::size_t out_head_ = 0;
   bool flush_deferred_ = false;  // a flush is queued on the loop
-  std::uint64_t bytes_in_ = 0;
-  std::uint64_t bytes_out_ = 0;
   std::shared_ptr<const char> alive_;  // dropped by the destructor
 };
 

@@ -12,14 +12,4 @@ namespace gryphon::routing {
 
 enum class TickValue : std::uint8_t { kQ, kS, kD, kL };
 
-constexpr char to_char(TickValue v) {
-  switch (v) {
-    case TickValue::kQ: return 'Q';
-    case TickValue::kS: return 'S';
-    case TickValue::kD: return 'D';
-    case TickValue::kL: return 'L';
-  }
-  return '?';
-}
-
 }  // namespace gryphon::routing

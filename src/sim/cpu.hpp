@@ -40,7 +40,6 @@ class Cpu {
     const SimTime end = admit(cost);
     sim_.schedule_at(end, [this, gen = generation_, fn = std::forward<F>(fn)]() mutable {
       if (gen != generation_) return;  // cleared by a crash
-      ++tasks_executed_;
       fn();
     });
   }
@@ -65,7 +64,6 @@ class Cpu {
   };
   [[nodiscard]] std::vector<WindowIdle> idle_series() const;
 
-  [[nodiscard]] std::uint64_t tasks_executed() const { return tasks_executed_; }
   [[nodiscard]] SimDuration total_busy() const { return total_busy_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int cores() const { return cores_; }
@@ -85,7 +83,6 @@ class Cpu {
   SimDuration window_;
   SimTime busy_until_ = 0;
   std::uint64_t generation_ = 0;  // bumped by clear(); stale completions drop
-  std::uint64_t tasks_executed_ = 0;
   SimDuration total_busy_ = 0;
   std::vector<SimDuration> busy_per_window_;
   SimTime horizon_ = 0;  // latest time busy accounting has reached

@@ -60,26 +60,20 @@ class BufferPool {
   void release(std::vector<std::byte>&& buf) {
     if (free_.size() >= options_.max_buffers ||
         buf.capacity() > options_.max_retained_bytes) {
-      ++releases_dropped_;
       return;  // freed by the destructor — exhaustion degrades, never breaks
     }
     free_.push_back(std::move(buf));
   }
 
-  [[nodiscard]] std::size_t free_buffers() const { return free_.size(); }
-  [[nodiscard]] std::uint64_t acquires() const { return acquires_; }
-  [[nodiscard]] std::uint64_t pool_hits() const { return pool_hits_; }
   [[nodiscard]] std::uint64_t heap_fallbacks() const {
     return acquires_ - pool_hits_;
   }
-  [[nodiscard]] std::uint64_t releases_dropped() const { return releases_dropped_; }
 
  private:
   Options options_;  // default-constructed => the Options{} defaults
   std::vector<std::vector<std::byte>> free_;
   std::uint64_t acquires_ = 0;
   std::uint64_t pool_hits_ = 0;
-  std::uint64_t releases_dropped_ = 0;
 };
 
 using BufferPoolPtr = std::shared_ptr<BufferPool>;

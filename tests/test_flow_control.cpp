@@ -70,7 +70,7 @@ TEST(FlowControl, FasterLimitCatchesUpFaster) {
 }
 
 TEST(FlowControl, IstreamRecoveryWindowBoundsSlope) {
-  // Constream recovery speed = istream_nack_window / nack_timeout.
+  // Constream recovery speed = istream_nack_window / kNackTimeout.
   auto recovery_time = [](Tick window) {
     SystemConfig config;
     config.num_pubends = 1;

@@ -14,14 +14,22 @@
 //     --expect-fault-track additionally requires the dedicated faults
 //     process plus at least one fault event (what a chaos export promises).
 //
+//   gryphon_report --check-bench BENCH.json [--baseline COMMITTED.json]
+//     Checks a gryphon-bench-v2 artifact (bench/bench_common.hpp): required
+//     fields and blocks, every gate recomputed, and with --baseline each
+//     baseline_tolerance metric against (1 - tolerance) x the committed value.
+//
 // Exit code 0 on success, 1 on validation/analysis failure, 2 on usage.
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "bench/bench_gate.hpp"
 
 namespace {
 
@@ -189,20 +197,26 @@ bool read_file(const char* path, std::string& out) {
   return true;
 }
 
-// ------------------------------------------------------- trace validation
-int validate_trace(const char* path, bool expect_fault_track) {
+/// Reads and parses one JSON document, reporting why when it cannot.
+bool load_json(const char* path, JValue& root) {
   std::string text;
   if (!read_file(path, text)) {
     std::fprintf(stderr, "gryphon_report: cannot read %s\n", path);
-    return 1;
+    return false;
   }
-  JValue root;
   JsonParser parser(text);
   if (!parser.parse(root)) {
     std::fprintf(stderr, "gryphon_report: %s is not valid JSON: %s\n", path,
                  parser.error().c_str());
-    return 1;
+    return false;
   }
+  return true;
+}
+
+// ------------------------------------------------------- trace validation
+int validate_trace(const char* path, bool expect_fault_track) {
+  JValue root;
+  if (!load_json(path, root)) return 1;
   const JValue* events = root.find("traceEvents");
   if (events == nullptr || events->kind != JValue::Kind::kArray) {
     std::fprintf(stderr, "gryphon_report: %s has no traceEvents array\n", path);
@@ -363,6 +377,141 @@ int report_scrape(const char* path) {
   return 0;
 }
 
+// ------------------------------------------------------ bench artifacts
+
+/// The number at `obj[key]`; NaN when absent or not a number (JSON null).
+double number_at(const JValue* obj, const std::string& key) {
+  const JValue* v = obj != nullptr ? obj->find(key) : nullptr;
+  return v != nullptr && v->kind == JValue::Kind::kNumber ? v->number : std::nan("");
+}
+
+/// An object's members; none for a missing block (already reported).
+const std::vector<std::pair<std::string, JValue>>& members(const JValue* obj) {
+  static const std::vector<std::pair<std::string, JValue>> kNone;
+  return obj != nullptr ? obj->object : kNone;
+}
+
+/// `metric` of workload `name` in a committed artifact, its post_pr variant
+/// preferred over its run variant; NaN when neither records it.
+double committed_value(const JValue& committed, const std::string& name,
+                       const std::string& metric) {
+  const JValue* workloads = committed.find("workloads");
+  if (workloads == nullptr) return std::nan("");
+  for (const char* variant : {"post_pr", "run"}) {
+    for (const JValue& w : workloads->array) {
+      const JValue* n = w.find("name");
+      const JValue* v = w.find("variant");
+      if (n != nullptr && n->string == name && v != nullptr && v->string == variant) {
+        return number_at(w.find("metrics"), metric);
+      }
+    }
+  }
+  return std::nan("");
+}
+
+int check_bench(const char* path, const char* baseline_path) {
+  JValue root;
+  JValue committed;
+  if (!load_json(path, root) ||
+      (baseline_path != nullptr && !load_json(baseline_path, committed))) {
+    return 1;
+  }
+  using K = JValue::Kind;
+  std::vector<std::string> errors;
+  // `obj[key]` when it has `kind`, else nullptr and an error naming it.
+  const auto need = [&errors](const JValue& obj, const char* key, K kind,
+                              const std::string& where) -> const JValue* {
+    const JValue* v = obj.find(key);
+    if (v != nullptr && v->kind == kind) return v;
+    errors.push_back(where + ": missing or mistyped \"" + key + "\"");
+    return nullptr;
+  };
+  const auto g = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return std::string(buf);
+  };
+
+  const JValue* schema = need(root, "schema", K::kString, "file");
+  if (schema != nullptr && schema->string != "gryphon-bench-v2") {
+    errors.push_back("file: schema is not gryphon-bench-v2");
+  }
+  if (const JValue* host = need(root, "host", K::kObject, "file")) {
+    need(*host, "machine", K::kString, "host");
+    need(*host, "kernel", K::kString, "host");
+    need(*host, "nproc", K::kNumber, "host");
+  }
+  need(root, "build_type", K::kString, "file");
+  const JValue* workloads = need(root, "workloads", K::kArray, "file");
+  if (workloads != nullptr && workloads->array.empty()) errors.push_back("file: no workloads");
+
+  std::size_t gates = 0;
+  std::size_t floors = 0;
+  static const std::vector<JValue> kNoWorkloads;
+  for (const JValue& w : workloads != nullptr ? workloads->array : kNoWorkloads) {
+    const JValue* name = need(w, "name", K::kString, "workload");
+    const std::string where = "workload " + (name != nullptr ? name->string : "?");
+    need(w, "variant", K::kString, where);
+    if (!(number_at(&w, "reps") >= 1)) errors.push_back(where + ": reps missing or < 1");
+    for (const char* block :
+         {"metrics", "spread", "counters", "latency", "gates", "baseline_tolerance"}) {
+      need(w, block, K::kObject, where);
+    }
+    for (const auto& [metric, spread] : members(w.find("spread"))) {
+      if (!(number_at(&spread, "min") <= number_at(&spread, "max"))) {
+        errors.push_back(where + ": spread " + metric + " is not a min <= max pair");
+      }
+    }
+
+    // A gate reads a recorded value: its name must be a metrics, counters or
+    // latency key holding the same number, so a missing block or a value the
+    // run never produced fails its gate like a broken bound does.
+    for (const auto& [gate, spec] : members(w.find("gates"))) {
+      ++gates;
+      double recorded = std::nan("");
+      for (const char* block : {"metrics", "counters", "latency"}) {
+        if (std::isnan(recorded)) recorded = number_at(w.find(block), gate);
+      }
+      const double value = number_at(&spec, "value");
+      const JValue* op = spec.find("op");
+      const std::string op_text = op != nullptr ? op->string : "?";
+      if (recorded != value ||
+          !gryphon::bench::gate_holds(value, op_text, number_at(&spec, "bound"))) {
+        errors.push_back(where + ": gate " + gate + " fails: " + g(value) + " " + op_text +
+                         " " + g(number_at(&spec, "bound")) + " (recorded " +
+                         g(recorded) + ")");
+      }
+    }
+
+    for (const auto& [metric, tolerance] : members(w.find("baseline_tolerance"))) {
+      const double got = number_at(w.find("metrics"), metric);
+      const double tol = tolerance.kind == K::kNumber ? tolerance.number : std::nan("");
+      if (!(tol >= 0 && tol < 1) || std::isnan(got)) {
+        errors.push_back(where + ": baseline_tolerance " + metric +
+                         " needs a tolerance in [0, 1) and a recorded metric");
+        continue;
+      }
+      if (baseline_path == nullptr) continue;
+      const double ref = committed_value(committed, name != nullptr ? name->string : "", metric);
+      if (std::isnan(ref)) {
+        std::printf("%s: no committed %s, no floor applied\n", where.c_str(), metric.c_str());
+        continue;
+      }
+      ++floors;
+      const double floor = (1.0 - tol) * ref;
+      std::printf("%s %s: %g vs floor %g = (1 - %g) x committed %g: %s\n", where.c_str(),
+                  metric.c_str(), got, floor, tol, ref, got >= floor ? "ok" : "BELOW FLOOR");
+      if (got < floor) errors.push_back(where + ": " + metric + " below its committed floor");
+    }
+  }
+
+  for (const auto& e : errors) std::fprintf(stderr, "gryphon_report: %s: %s\n", path, e.c_str());
+  if (!errors.empty()) return 1;
+  std::printf("%s: OK — %zu workloads, %zu gates hold, %zu baseline floors met\n", path,
+              workloads->array.size(), gates, floors);
+  return 0;
+}
+
 void usage() {
   std::fputs(
       "gryphon_report — analyze observability artifacts\n"
@@ -371,7 +520,9 @@ void usage() {
       "      gryphon_sim --metrics-interval scrape\n"
       "  gryphon_report --validate-trace trace.json [--expect-fault-track]\n"
       "      JSON well-formedness + monotonic-timestamp check for a\n"
-      "      --trace-out export\n",
+      "      --trace-out export\n"
+      "  gryphon_report --check-bench BENCH.json [--baseline COMMITTED.json]\n"
+      "      schema, gate and committed-floor check of a bench artifact\n",
       stderr);
 }
 
@@ -389,6 +540,14 @@ int main(int argc, char** argv) {
       }
     }
     return validate_trace(argv[2], expect_faults);
+  }
+  if (argc >= 3 && std::strcmp(argv[1], "--check-bench") == 0) {
+    if (argc == 3) return check_bench(argv[2], nullptr);
+    if (argc == 5 && std::strcmp(argv[3], "--baseline") == 0) {
+      return check_bench(argv[2], argv[4]);
+    }
+    usage();
+    return 2;
   }
   if (argc == 2 && argv[1][0] != '-') {
     return report_scrape(argv[1]);

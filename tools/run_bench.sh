@@ -1,70 +1,38 @@
 #!/usr/bin/env bash
 # Substrate wall-clock regression gate: builds the Release preset, runs
-# bench_wallclock, and compares simulated-events-per-wall-second against the
-# post_pr numbers committed in BENCH_substrate.json. Exits non-zero when any
-# workload regresses by more than the tolerance (default 15%).
+# bench_wallclock (which exits non-zero when one of its declared gates
+# fails), then checks its artifact with `gryphon_report --check-bench`
+# against the committed BENCH_substrate.json: each workload's
+# sim_events_per_wall_sec must reach (1 - 0.15) x the committed post_pr (else
+# run) value. Every committed BENCH_*.json then gets the same schema and gate
+# check, without a baseline.
 #
-# Usage: tools/run_bench.sh [tolerance] [reps]
+# Usage: tools/run_bench.sh [reps]
 #
-# The fresh numbers land in BENCH_substrate.json.new next to the committed
-# file; after an intentional perf change, re-record with
+# The fresh numbers land in BENCH_substrate.json.new; after an intentional
+# perf change, re-record with
 #   ./build-release/bench/bench_wallclock --out BENCH_substrate.json
-# and update the variant tags (pre_pr_baseline / post_pr) by hand.
-#
-# Each workload entry in the JSON also carries a nested "metrics" block of
-# broker-internal registry counters (summed over nodes). bench_wallclock
-# itself fails on protocol-counter regressions (e.g. shb.gaps_sent > 0 on
-# the steady fig4 workload), so a counter drifting into pathological
-# territory fails this gate even when throughput looks fine. It also fails
-# outright if the codec-mode steady workload runs slower than 2.0x its
-# struct-mode twin or allocates more than 10 heap blocks per simulated
-# event — the codec-tax ceiling, enforced independently of the committed
-# baseline numbers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TOLERANCE="${1:-0.15}"
-REPS="${2:-3}"
+REPS="${1:-3}"
 
 cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target bench_wallclock bench_scale_1m
+cmake --build --preset release -j "$(nproc)" \
+  --target bench_wallclock bench_scale_1m gryphon_report
+CHECK=./build-release/tools/gryphon_report
 
-./build-release/bench/bench_wallclock \
-  --out BENCH_substrate.json.new \
-  --check BENCH_substrate.json \
-  --tolerance "${TOLERANCE}" \
-  --reps "${REPS}"
+./build-release/bench/bench_wallclock --out BENCH_substrate.json.new --reps "${REPS}"
+"${CHECK}" --check-bench BENCH_substrate.json.new --baseline BENCH_substrate.json
 
-# Million-subscriber scale gates (DESIGN.md §4.8): the smoke tier self-asserts
-# covering compression, sublinear match cost and shard parity, exiting
-# non-zero on any gate failure.
-./build-release/bench/bench_scale_1m --smoke --out BENCH_scale_1m.json.smoke
-rm -f BENCH_scale_1m.json.smoke
+# Million-subscriber scale gates (DESIGN.md §4.8): the smoke tier declares
+# covering compression, sublinear match cost and shard parity.
+./build-release/bench/bench_scale_1m --smoke --out BENCH_scale_1m.json.new
+"${CHECK}" --check-bench BENCH_scale_1m.json.new
+rm -f BENCH_scale_1m.json.new
 
-# The committed full-scale artifact must carry passing gates — catches a
-# re-recorded BENCH_scale_1m.json that silently shipped a failing gate.
-for gate in gate_covering_compression gate_sublinear_match gate_shard_parity; do
-  if ! grep -qE "\"${gate}\": 1" BENCH_scale_1m.json; then
-    echo "ERROR: committed BENCH_scale_1m.json missing passing ${gate}" >&2
-    exit 1
-  fi
+# Every committed artifact must still carry passing gates and its required
+# blocks — catches a re-recorded file that silently shipped a failing gate.
+for artifact in BENCH_*.json; do
+  "${CHECK}" --check-bench "${artifact}"
 done
-
-# The metrics block must have been recorded for the steady workload —
-# guards against the registry silently going dark.
-if ! grep -qF '"metrics": {' BENCH_substrate.json.new; then
-  echo "ERROR: BENCH_substrate.json.new has no registry metrics block" >&2
-  exit 1
-fi
-
-# Same for the per-stage latency percentiles: a fresh run with no "latency"
-# block means the LatencyRecorder pipeline went dark, and the committed
-# churn-storm artifact must keep carrying its catchup-wait histogram.
-if ! grep -qF '"latency": {' BENCH_substrate.json.new; then
-  echo "ERROR: BENCH_substrate.json.new has no latency percentile block" >&2
-  exit 1
-fi
-if ! grep -qF '"latency": {' BENCH_churn_storm.json; then
-  echo "ERROR: committed BENCH_churn_storm.json has no latency block" >&2
-  exit 1
-fi

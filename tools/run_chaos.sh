@@ -49,6 +49,7 @@ echo "== churn storm smoke (asan-ubsan): reconnect herd under admission control 
 echo "== scale smoke (asan-ubsan): covering index + sharded PFS gates =="
 SCALE_SMOKE_JSON="$(mktemp)"
 ./build-asan/bench/bench_scale_1m --smoke --out "${SCALE_SMOKE_JSON}"
+./build-asan/tools/gryphon_report --check-bench "${SCALE_SMOKE_JSON}"
 rm -f "${SCALE_SMOKE_JSON}"
 
 echo "== flight recorder negative test: injected violation must dump =="

@@ -13,7 +13,8 @@
 # on any oracle violation, when no crash point produced a torn-tail
 # truncation (the fuzzer must keep reaching mid-frame tears —
 # wal.recovery_truncated_bytes > 0 in the written snapshot is the evidence),
-# and when the codec leg never rejected a corrupted frame.
+# and when the codec leg never rejected a corrupted frame; gryphon_report
+# --check-bench then re-checks those gates in the written artifact.
 # Pass --wal-dir to run every WAL on real files (FileBackend) instead of the
 # default in-memory backend. Rerun one violating seed exactly with
 #   bench_recovery_fuzz 1 <seed>
@@ -26,9 +27,10 @@ shift $(( $# > 2 ? 2 : $# )) || true
 EXTRA_ARGS=("$@")
 
 cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target bench_recovery_fuzz
+cmake --build --preset release -j "$(nproc)" --target bench_recovery_fuzz gryphon_report
 
 ./build-release/bench/bench_recovery_fuzz "${NUM_SEEDS}" "${FIRST_SEED}" \
   --out BENCH_recovery_fuzz.json "${EXTRA_ARGS[@]+"${EXTRA_ARGS[@]}"}"
+./build-release/tools/gryphon_report --check-bench BENCH_recovery_fuzz.json
 
 echo "ok: ${NUM_SEEDS} seeds survived; snapshot in BENCH_recovery_fuzz.json"
